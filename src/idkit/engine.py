@@ -1,7 +1,6 @@
 """Parallel evaluation of design points with caching and external simulators.
 
-The engine multiplexes a batch of design points over a pool of worker
-threads.  Three simulator kinds exist:
+Three simulator kinds exist:
 
 * ``internal-motf``      the built-in thin-film solver;
 * ``internal-synthetic`` a smooth deterministic stand-in for problems whose
@@ -12,12 +11,25 @@ threads.  Three simulator kinds exist:
 * ``external-adapter``   one child process per worker speaking
                          line-delimited JSON over stdin/stdout.
 
+All three go through one scheduler.  ``evaluate_batch`` splits the batch
+into jobs (points to simulate) and followers (in-batch duplicates of a job,
+and cache hits).  Workers take jobs from a shared queue; an external worker
+owns one adapter child for the batch and kills it however it exits.  A batch
+with one job, or a binding with one worker, is served in the calling thread;
+otherwise ``min(workers, jobs)`` threads serve the queue.  A reply of the
+wrong length or with a non-finite value fails its point and is never
+cached.  A worker whose child dies puts its point back in the queue (at most
+``MAX_ATTEMPTS`` tries in all) and retires, so a worker that finds the queue
+empty waits while any job is still in flight; points still queued when no
+worker is left fail with the last error.  Followers are then read from the
+cache.
+
 Results always come back in input order, one terminal record per point:
-either a response or a failure reason in the record's metadata.  An optional
-cache (in memory plus an append-only JSON-lines file) serves repeated points
-without re-simulation; keys quantize normalized continuous coordinates to
-1e-9 so optimizer-proposed near-duplicates hit while physically distinct
-points never alias.
+either a response or a failure reason in the record's metadata.  The
+optional cache (in memory plus an append-only JSON-lines file) is keyed by
+the simulator (problem, kind and adapter command) and the point; keys
+quantize normalized continuous coordinates to 1e-9 so optimizer-proposed
+near-duplicates hit while physically distinct points never alias.
 """
 
 from __future__ import annotations
@@ -30,9 +42,8 @@ import shlex
 import subprocess
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from queue import Empty, Queue
+from collections import deque
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +81,10 @@ class AdapterTimeoutError(EngineError):
     pass
 
 
+class _PointFailed(Exception):
+    """The simulator reported a per-point failure; terminal, not retried."""
+
+
 @dataclass(frozen=True)
 class SimulatorBinding:
     """Which simulator to run, how wide, and whether to cache."""
@@ -94,10 +109,10 @@ class SimulatorBinding:
             raise ValueError("adapter_cmd is required for, and only for, external-adapter")
 
 
-def cache_key(space: DesignSpace, point: DesignPoint, problem: str) -> str:
-    """Digest of the problem id and the canonical quantized point."""
+def cache_key(space: DesignSpace, point: DesignPoint, namespace: str) -> str:
+    """Digest of a namespace (the problem id, at least) and the canonical quantized point."""
     u = space.normalize(point)
-    parts = [problem]
+    parts = [namespace]
     for i, kind in enumerate(space.unit_kinds()):
         if kind is None:
             parts.append(f"f{int(round(u[i] * 1e9))}")
@@ -107,18 +122,26 @@ def cache_key(space: DesignSpace, point: DesignPoint, problem: str) -> str:
 
 
 class _Cache:
-    """Thread-safe response cache with optional JSON-lines persistence."""
+    """Thread-safe response cache with optional JSON-lines persistence.
+
+    An unparsable line, such as the tail of an interrupted append, is skipped.
+    """
 
     def __init__(self, path: str | None):
         self._mem: dict[str, list[float]] = {}
         self._path = path
         self._lock = threading.Lock()
+        self._torn = False  # the file does not end in a newline
         if path and os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        row = json.loads(line)
-                        self._mem[row["key"]] = row["y"]
+                text = fh.read()
+            self._torn = bool(text) and not text.endswith("\n")
+            for line in text.splitlines():
+                try:
+                    row = json.loads(line)
+                    self._mem[row["key"]] = row["y"]
+                except (ValueError, KeyError, TypeError):
+                    continue
 
     def get(self, key: str) -> list[float] | None:
         with self._lock:
@@ -131,6 +154,9 @@ class _Cache:
             self._mem[key] = y
             if self._path:
                 with open(self._path, "a", encoding="utf-8") as fh:
+                    if self._torn:
+                        fh.write("\n")
+                        self._torn = False
                     fh.write(json.dumps({"key": key, "y": y}, separators=(",", ":")))
                     fh.write("\n")
 
@@ -145,6 +171,35 @@ def _request_payload(
     if geometry is not None:
         body["geometry"] = geometry
     return json.dumps(body, separators=(",", ":"))
+
+
+def _checked(y, dim: int) -> np.ndarray:
+    """A reply as a float array; a wrong length or a non-finite value fails the point."""
+    arr = np.asarray(y, dtype=float)
+    if arr.shape != (dim,):
+        raise _PointFailed(f"response has {arr.size} values, expected {dim}")
+    if not np.all(np.isfinite(arr)):
+        raise _PointFailed("non-finite response")
+    return arr
+
+
+def _finish(
+    point: DesignPoint,
+    y,
+    target: np.ndarray | None,
+    trial: int,
+    dt: float,
+    meta: dict | None = None,
+) -> EvalRecord:
+    arr = np.asarray(y, dtype=float)
+    loss = mse_loss(arr, target if target is not None else np.zeros_like(arr))
+    return EvalRecord(point, arr, loss, trial, wall_time=dt, meta=meta or {})
+
+
+def _failed(point: DesignPoint, reason: str, trial: int, dt: float) -> EvalRecord:
+    return EvalRecord(
+        point, np.zeros(0), float("inf"), trial, wall_time=dt, meta={"error": reason}
+    )
 
 
 class _AdapterWorker:
@@ -170,6 +225,8 @@ class _AdapterWorker:
         except OSError:
             pass
         self.proc.wait()
+        self.proc.stdin.close()
+        self.proc.stdout.close()
 
     def _readline(self) -> bytes:
         deadline = time.monotonic() + self.timeout
@@ -213,21 +270,18 @@ class _AdapterWorker:
         return [float(v) for v in y]
 
 
-class _PointFailed(Exception):
-    """The simulator reported a per-point failure; terminal, not retried."""
-
-
 class Engine:
-    """Owns the worker pool; evaluate_batch is the single entry point."""
+    """Owns the binding and its cache; evaluate_batch is the single entry point."""
 
     def __init__(self, binding: SimulatorBinding):
         self.binding = binding
         self.space = get_space(binding.problem)
         self._cache = _Cache(binding.cache_path) if binding.cache else None
+        # a response belongs to the simulator that produced it, not only to the problem
+        self._namespace = "|".join((binding.problem, binding.kind, binding.adapter_cmd or ""))
         self._next_id = 0
+        self._id_lock = threading.Lock()
         self._geom_dir: str | None = None
-
-    # -- internal simulators --------------------------------------------------
 
     def _simulate(self, point: DesignPoint) -> np.ndarray:
         if self.binding.kind == "internal-motf":
@@ -237,8 +291,6 @@ class Engine:
         if self.binding.sleep_s > 0:
             time.sleep(self.binding.sleep_s)
         return synthetic_response(point, self.binding.problem)
-
-    # -- shared plumbing -------------------------------------------------------
 
     def _geometry_path(self, point: DesignPoint, idx: int) -> str | None:
         if not self.binding.send_geometry or self.binding.problem == "motf":
@@ -255,25 +307,24 @@ class Engine:
         save_raster(raster, path)
         return path
 
-    def _finish(
-        self,
-        point: DesignPoint,
-        y: list[float],
-        target: np.ndarray | None,
-        trial: int,
-        dt: float,
-        meta: dict | None = None,
-    ) -> EvalRecord:
-        arr = np.asarray(y, dtype=float)
-        loss = mse_loss(arr, target) if target is not None else mse_loss(arr, np.zeros_like(arr))
-        return EvalRecord(point, arr, loss, trial, wall_time=dt, meta=meta or {})
+    def _call(self, worker: _AdapterWorker | None, point: DesignPoint, idx: int) -> np.ndarray:
+        """One checked reply from the internal simulator or the worker's child.
 
-    def _failed(self, point: DesignPoint, reason: str, trial: int, dt: float) -> EvalRecord:
-        return EvalRecord(
-            point, np.zeros(0), float("inf"), trial, wall_time=dt, meta={"error": reason}
-        )
-
-    # -- batch evaluation -------------------------------------------------------
+        Raises _PointFailed for a terminal per-point failure and EngineError
+        when the adapter worker is lost.
+        """
+        if worker is None:
+            try:
+                y = self._simulate(point)
+            except Exception as exc:
+                raise _PointFailed(f"{type(exc).__name__}: {exc}") from exc
+        else:
+            with self._id_lock:
+                self._next_id += 1
+                req_id = self._next_id
+            geometry = self._geometry_path(point, idx)
+            y = worker.call(req_id, _request_payload(req_id, self.binding.problem, point, geometry))
+        return _checked(y, self.space.response_dim)
 
     def evaluate_batch(
         self,
@@ -285,182 +336,110 @@ class Engine:
             check = self.space.validate(p)
             if not check:
                 raise EngineError(f"invalid point: {'; '.join(check.violations)}")
-        if self.binding.kind == "external-adapter":
-            return self._run_external(points, target, start_trial)
-        return self._run_internal(points, target, start_trial)
-
-    def _run_internal(self, points, target, start_trial) -> list[EvalRecord]:
         results: list[EvalRecord | None] = [None] * len(points)
-        keys = [
-            cache_key(self.space, p, self.binding.problem) if self._cache else None
-            for p in points
-        ]
-        # first occurrence of each key simulates; later ones wait for it
-        leaders: dict[str, int] = {}
+        keys = [cache_key(self.space, p, self._namespace) if self._cache else None for p in points]
+        # the first occurrence of an uncached key is a job; later occurrences
+        # and cache hits follow it and read the cache once the jobs are done
+        todo: deque[tuple[int, int]] = deque()
+        leaders: set[str] = set()
         followers: list[int] = []
-        jobs: list[int] = []
         for i, key in enumerate(keys):
-            if key is not None and key in leaders:
+            if key is not None and (key in leaders or self._cache.get(key) is not None):
                 followers.append(i)
-            elif key is not None and self._cache.get(key) is not None:
-                followers.append(i)
-            else:
-                if key is not None:
-                    leaders[key] = i
-                jobs.append(i)
+                continue
+            if key is not None:
+                leaders.add(key)
+            todo.append((i, 0))
+        cond = threading.Condition()
+        in_flight = 0
+        lost: list[str] = []
 
-        def run_one(i: int) -> EvalRecord:
+        def take() -> tuple[int, int] | None:
+            nonlocal in_flight
+            with cond:
+                # a job in flight elsewhere may still come back to the queue
+                while not todo and in_flight:
+                    cond.wait()
+                if not todo:
+                    return None
+                in_flight += 1
+                return todo.popleft()
+
+        def run(worker: _AdapterWorker | None, i: int, attempt: int) -> bool:
+            """Serve one job; False when the worker has lost its child."""
             t0 = time.monotonic()
             try:
-                y = self._simulate(points[i])
-            except Exception as exc:
-                return self._failed(points[i], f"{type(exc).__name__}: {exc}", start_trial + i, time.monotonic() - t0)
+                y = self._call(worker, points[i], i)
+            except _PointFailed as exc:
+                results[i] = _failed(points[i], str(exc), start_trial + i, time.monotonic() - t0)
+                return True
+            except EngineError as exc:
+                reason = f"adapter worker lost: {exc}"
+                lost.append(reason)
+                if attempt + 1 < MAX_ATTEMPTS:
+                    with cond:
+                        todo.append((i, attempt + 1))
+                else:
+                    results[i] = _failed(points[i], reason, start_trial + i, time.monotonic() - t0)
+                return False
             dt = time.monotonic() - t0
             if keys[i] is not None:
-                self._cache.put(keys[i], [float(v) for v in y])
-            return self._finish(points[i], list(map(float, y)), target, start_trial + i, dt)
-
-        if self.binding.workers == 1 or len(jobs) <= 1:
-            for i in jobs:
-                results[i] = run_one(i)
-        else:
-            with ThreadPoolExecutor(max_workers=self.binding.workers) as pool:
-                for i, rec in zip(jobs, pool.map(run_one, jobs)):
-                    results[i] = rec
-        for i in followers:
-            t0 = time.monotonic()
-            y = self._cache.get(keys[i])
-            if y is None:
-                leader = results[leaders[keys[i]]]
-                if leader is not None and not leader.failed:
-                    y = [float(v) for v in leader.response]
-            if y is None:
-                results[i] = self._failed(
-                    points[i], "cache leader failed", start_trial + i, 0.0
-                )
-            else:
-                results[i] = self._finish(
-                    points[i], y, target, start_trial + i, time.monotonic() - t0,
-                    meta={"cache": "hit"},
-                )
-        return results  # type: ignore[return-value]
-
-    # -- external adapters -------------------------------------------------------
-
-    def _run_external(self, points, target, start_trial) -> list[EvalRecord]:
-        n = len(points)
-        results: list[EvalRecord | None] = [None] * n
-        keys = [
-            cache_key(self.space, p, self.binding.problem) if self._cache else None
-            for p in points
-        ]
-        todo: Queue = Queue()
-        queued = 0
-        leaders: dict[str, int] = {}
-        followers: list[int] = []
-        for i in range(n):
-            if keys[i] is not None:
-                hit = self._cache.get(keys[i])
-                if hit is not None:
-                    results[i] = self._finish(
-                        points[i], hit, target, start_trial + i, 0.0, meta={"cache": "hit"}
-                    )
-                    continue
-                if keys[i] in leaders:
-                    # in-batch duplicate; wait for the first occurrence
-                    followers.append(i)
-                    continue
-                leaders[keys[i]] = i
-            todo.put((i, 0))
-            queued += 1
-
-        done = threading.Semaphore(0)
-        lock = threading.Lock()
-        pool_errors: list[str] = []
-        n_workers = min(self.binding.workers, max(queued, 1))
+                self._cache.put(keys[i], y.tolist())
+            results[i] = _finish(points[i], y, target, start_trial + i, dt)
+            return True
 
         def serve() -> None:
-            # a thread owns one child process; losing the child retires the
-            # thread and its in-flight point goes back for the survivors
+            # an external worker owns one child for the batch; losing the child
+            # retires the worker and its in-flight point goes back for the others
+            nonlocal in_flight
+            worker = None
+            if self.binding.kind == "external-adapter":
+                try:
+                    worker = _AdapterWorker(self.binding.adapter_cmd, self.binding.timeout)
+                except OSError as exc:
+                    lost.append(f"adapter launch failed: {exc}")
+                    return
             try:
-                worker = _AdapterWorker(self.binding.adapter_cmd, self.binding.timeout)
-            except OSError as exc:
-                with lock:
-                    pool_errors.append(f"adapter launch failed: {exc}")
-                return
-            while True:
-                try:
-                    i, attempt = todo.get_nowait()
-                except Empty:
-                    break
-                t0 = time.monotonic()
-                with lock:
-                    self._next_id += 1
-                    req_id = self._next_id
-                try:
-                    payload = _request_payload(
-                        req_id, self.binding.problem, points[i], self._geometry_path(points[i], i)
-                    )
-                    y = worker.call(req_id, payload)
-                except _PointFailed as exc:
-                    results[i] = self._failed(points[i], str(exc), start_trial + i, time.monotonic() - t0)
-                    done.release()
-                    continue
-                except EngineError as exc:
-                    reason = f"adapter worker lost: {exc}"
-                    with lock:
-                        pool_errors.append(reason)
-                    if attempt + 1 < MAX_ATTEMPTS:
-                        todo.put((i, attempt + 1))
-                    else:
-                        results[i] = self._failed(points[i], reason, start_trial + i, time.monotonic() - t0)
-                        done.release()
-                    break
-                dt = time.monotonic() - t0
-                if keys[i] is not None:
-                    self._cache.put(keys[i], y)
-                results[i] = self._finish(points[i], y, target, start_trial + i, dt)
-                done.release()
-            worker.close()
+                while (job := take()) is not None:
+                    try:
+                        alive = run(worker, *job)
+                    finally:
+                        with cond:
+                            in_flight -= 1
+                            cond.notify_all()
+                    if not alive:
+                        return
+            finally:
+                if worker is not None:
+                    worker.close()
 
-        threads = [threading.Thread(target=serve, daemon=True) for _ in range(n_workers)]
-        for t in threads:
-            t.start()
+        n_threads = min(self.binding.workers, len(todo))
+        if n_threads == 1:
+            serve()
+        elif n_threads > 1:
+            threads = [threading.Thread(target=serve, daemon=True) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
 
-        served = 0
-        stalled = 0
-        while served < queued:
-            if done.acquire(timeout=0.25):
-                served += 1
-                stalled = 0
-                continue
-            if not any(t.is_alive() for t in threads):
-                stalled += 1
-                if stalled > 2:
-                    break
-        for t in threads:
-            t.join(timeout=self.binding.timeout + 5.0)
-
-        reason = "no adapter workers left"
-        if pool_errors:
-            reason += f" (last error: {pool_errors[-1]})"
-        for i in range(n):
-            if results[i] is None and i not in followers:
-                # every worker died with this point still queued
-                results[i] = self._failed(points[i], reason, start_trial + i, 0.0)
         for i in followers:
             t0 = time.monotonic()
             y = self._cache.get(keys[i])
             if y is None:
-                results[i] = self._failed(
-                    points[i], "cache leader failed", start_trial + i, 0.0
-                )
+                results[i] = _failed(points[i], "cache leader failed", start_trial + i, 0.0)
             else:
-                results[i] = self._finish(
+                results[i] = _finish(
                     points[i], y, target, start_trial + i, time.monotonic() - t0,
                     meta={"cache": "hit"},
                 )
-        return results  # type: ignore[return-value]
+        unserved = "no adapter workers left"
+        if lost:
+            unserved += f" (last error: {lost[-1]})"
+        return [
+            rec if rec is not None else _failed(points[i], unserved, start_trial + i, 0.0)
+            for i, rec in enumerate(results)
+        ]
 
 
 def evaluate_batch(
@@ -485,18 +464,18 @@ def adapter_roundtrip(
     """
     if binding.kind != "external-adapter":
         raise ValueError("adapter_roundtrip needs an external-adapter binding")
-    engine = Engine(binding)
+    dim = get_space(binding.problem).response_dim
     worker = _AdapterWorker(binding.adapter_cmd, binding.timeout)
     try:
         t0 = time.monotonic()
         payload = _request_payload(1, binding.problem, point, None)
         try:
-            y = worker.call(1, payload)
+            y = _checked(worker.call(1, payload), dim)
         except _PointFailed as exc:
-            # adapter answered with an error payload; that is a valid
-            # per-point outcome, not a protocol breach
-            return engine._failed(point, str(exc), 0, time.monotonic() - t0)
-        return engine._finish(point, y, target, 0, time.monotonic() - t0)
+            # an error payload or an unusable reply is a valid per-point
+            # outcome, not a protocol breach
+            return _failed(point, str(exc), 0, time.monotonic() - t0)
+        return _finish(point, y, target, 0, time.monotonic() - t0)
     finally:
         worker.close()
 

@@ -35,8 +35,6 @@ __all__ = [
     "SpectrumResult",
     "default_grid",
     "load_material",
-    "interp_nk",
-    "layer_matrix",
     "stack_spectrum",
     "motf_forward",
     "SUBSTRATE_MATERIAL",
@@ -128,11 +126,6 @@ class MaterialTable:
         return n - 1j * k
 
 
-def interp_nk(table: MaterialTable, lam_um):
-    """Functional alias for :meth:`MaterialTable.interp`."""
-    return table.interp(lam_um)
-
-
 def _data_dir() -> str:
     env = os.environ.get("IDKIT_DATA_DIR")
     if env:
@@ -195,13 +188,6 @@ def _index_at(material, lam: np.ndarray) -> np.ndarray:
     if isinstance(material, MaterialTable):
         return material.interp(lam)
     return np.full(lam.shape, complex(material))
-
-
-def layer_matrix(n_complex: complex, d_nm: float, lam_um: float) -> np.ndarray:
-    """2x2 characteristic matrix of one layer at one wavelength."""
-    delta = 2.0 * math.pi * n_complex * (d_nm * 1e-3) / lam_um
-    c, s = np.cos(delta), np.sin(delta)
-    return np.array([[c, 1j * s / n_complex], [1j * n_complex * s, c]])
 
 
 def stack_spectrum(stack: LayerStack, grid: Sequence[float] | None = None) -> SpectrumResult:

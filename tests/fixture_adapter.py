@@ -8,8 +8,15 @@ Modes:
     sleep SECONDS   sleep before each answer
     error-always    answer {"id", "error"} for every request
     exit-now        exit 3 without reading anything
-    crash-once PATH serve normally, but the first process to atomically
-                    create PATH dies before answering its first request
+    crash-once PATH [SECONDS]
+                    serve normally, but the first process to atomically
+                    create PATH dies before answering its first request,
+                    SECONDS (default 0) after reading it
+    short-y         answer with a one-value y whatever the problem
+    nan-y           answer with the echo y, its first value replaced by NaN
+
+If FIXTURE_PID_DIR is set, every mode first creates an empty file named
+after its process id in that directory.
 """
 
 import json
@@ -46,6 +53,9 @@ def echo_y(req):
 
 def main():
     mode = sys.argv[1]
+    pid_dir = os.environ.get("FIXTURE_PID_DIR")
+    if pid_dir:
+        open(os.path.join(pid_dir, str(os.getpid())), "w").close()
     if mode == "wrong-id":
         serve(lambda r: json.dumps({"id": r["id"] + 1, "y": echo_y(r)}))
     elif mode == "garbage":
@@ -64,17 +74,23 @@ def main():
         sys.exit(3)
     elif mode == "crash-once":
         marker = sys.argv[2]
+        delay = float(sys.argv[3]) if len(sys.argv) > 3 else 0.0
 
         def maybe_crash(r):
             try:
                 fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
                 os.close(fd)
+                time.sleep(delay)
                 os._exit(9)
             except FileExistsError:
                 pass
             return json.dumps({"id": r["id"], "y": echo_y(r)})
 
         serve(maybe_crash)
+    elif mode == "short-y":
+        serve(lambda r: json.dumps({"id": r["id"], "y": [0.5]}))
+    elif mode == "nan-y":
+        serve(lambda r: json.dumps({"id": r["id"], "y": [float("nan")] + echo_y(r)[1:]}))
     else:
         raise SystemExit(f"unknown fixture mode {mode!r}")
 

@@ -110,6 +110,49 @@ class TestInternal:
             assert b.meta.get("cache") == "hit"
             assert np.array_equal(a.response, b.response)
 
+    def test_many_threads_simulate_and_store_each_key_once(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        pts = sample_points("scf", 60, seed=71)
+        batch = pts + pts[::2]
+        binding = SimulatorBinding(
+            kind="internal-synthetic", problem="scf", workers=16, cache=True, cache_path=str(path)
+        )
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            recs = Engine(binding).evaluate_batch(batch)
+        finally:
+            sys.setswitchinterval(old)
+        assert [r.trial for r in recs] == list(range(90))
+        assert not any(r.failed for r in recs)
+        assert sum(r.meta.get("cache") == "hit" for r in recs) == 30
+        assert len(path.read_text().splitlines()) == 60
+
+    def test_truncated_cache_tail_is_skipped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        pts = sample_points("scf", 3, seed=43)
+        binding = SimulatorBinding(
+            kind="internal-synthetic", problem="scf", cache=True, cache_path=str(path)
+        )
+        Engine(binding).evaluate_batch(pts)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        path.write_text(f"{lines[0]}\n{lines[1]}\n{lines[2][: len(lines[2]) // 2]}")
+        recs = Engine(binding).evaluate_batch(pts)
+        assert [r.meta.get("cache") for r in recs] == ["hit", "hit", None]
+        again = Engine(binding).evaluate_batch(pts)
+        assert all(r.meta.get("cache") == "hit" for r in again)
+        for a, b in zip(recs, again):
+            assert np.array_equal(a.response, b.response)
+
+    def test_non_finite_internal_response_fails_the_point(self, monkeypatch):
+        import idkit.engine
+
+        monkeypatch.setattr(idkit.engine, "synthetic_response", lambda p, problem: np.full(3, np.nan))
+        binding = SimulatorBinding(kind="internal-synthetic", problem="scf", cache=True)
+        recs = Engine(binding).evaluate_batch(sample_points("scf", 2, seed=53))
+        assert all(r.meta["error"] == "non-finite response" for r in recs)
+
     def test_rejects_invalid_point(self):
         space = get_space("scf")
         good = sample_points("scf", 1)[0]
@@ -151,6 +194,18 @@ class TestCacheKey:
         space = get_space("scf")
         p = sample_points("scf", 1)[0]
         assert cache_key(space, p, "scf") != cache_key(space, p, "other")
+
+    def test_other_simulator_misses_the_cache(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        pts = sample_points("scf", 3, seed=47)
+        internal = SimulatorBinding(
+            kind="internal-synthetic", problem="scf", cache=True, cache_path=path
+        )
+        Engine(internal).evaluate_batch(pts)
+        recs = Engine(external_binding(cache=True, cache_path=path)).evaluate_batch(pts)
+        assert all("cache" not in r.meta for r in recs)
+        for p, r in zip(pts, recs):
+            assert list(r.response) == [float(v) for v in p.values[:3]]
 
 
 class TestEchoAdapter:
@@ -244,6 +299,18 @@ class TestAdapterFaults:
         for p, r in zip(pts, recs):
             assert list(r.response) == [float(v) for v in p.values[:3]]
 
+    def test_late_crash_point_goes_to_a_worker_still_waiting(self, tmp_path):
+        # the survivor drains the queue long before the crash; it must wait
+        # for the crashed worker's point instead of exiting on an empty queue
+        marker = str(tmp_path / "crashed")
+        pts = sample_points("scf", 6, seed=73)
+        binding = external_binding(cmd=fixture_cmd("crash-once", marker, 0.5), workers=2)
+        recs = Engine(binding).evaluate_batch(pts)
+        assert os.path.exists(marker), "fixture never crashed"
+        assert not any(r.failed for r in recs)
+        for p, r in zip(pts, recs):
+            assert list(r.response) == [float(v) for v in p.values[:3]]
+
     def test_all_workers_dead_marks_remaining_failed(self):
         pts = sample_points("scf", 5, seed=37)
         recs = evaluate_batch(external_binding(cmd=fixture_cmd("exit-now"), workers=2), pts)
@@ -255,3 +322,37 @@ class TestAdapterFaults:
         recs = evaluate_batch(external_binding(cmd="/does/not/exist-xyz", workers=2), pts)
         assert all(r.failed for r in recs)
         assert all("adapter" in r.meta["error"] for r in recs)
+
+    def test_short_reply_fails_the_point_and_is_not_cached(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        pts = sample_points("scf", 4, seed=59)
+        binding = external_binding(
+            cmd=fixture_cmd("short-y"), workers=2, cache=True, cache_path=str(path)
+        )
+        for target in (None, np.zeros(3)):
+            recs = Engine(binding).evaluate_batch(pts, target=target)
+            assert len(recs) == 4
+            assert all(r.meta["error"] == "response has 1 values, expected 3" for r in recs)
+            assert all(r.loss == float("inf") for r in recs)
+        assert not path.exists()
+        rec = adapter_roundtrip(external_binding(cmd=fixture_cmd("short-y")), pts[0])
+        assert rec.meta["error"] == "response has 1 values, expected 3"
+
+    def test_nan_reply_fails_the_point(self):
+        pts = sample_points("scf", 3, seed=61)
+        binding = external_binding(cmd=fixture_cmd("nan-y"), workers=2, cache=True)
+        recs = Engine(binding).evaluate_batch(pts + [pts[0]], target=np.zeros(3))
+        assert [r.meta["error"] for r in recs] == ["non-finite response"] * 3 + ["cache leader failed"]
+        assert all(r.loss == float("inf") for r in recs)
+
+    def test_no_adapter_child_outlives_the_batch(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FIXTURE_PID_DIR", str(tmp_path))
+        pts = sample_points("scf", 4, seed=67)
+        binding = external_binding(cmd=fixture_cmd("short-y"), workers=2)
+        recs = evaluate_batch(binding, pts, target=np.zeros(3))
+        assert all(r.failed for r in recs)
+        pids = [int(name) for name in os.listdir(tmp_path)]
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)

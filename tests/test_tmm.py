@@ -15,12 +15,17 @@ from idkit.tmm import (
     MaterialTable,
     TmmError,
     default_grid,
-    interp_nk,
-    layer_matrix,
     load_material,
     motf_forward,
     stack_spectrum,
 )
+
+
+def layer_matrix(n_complex: complex, d_nm: float, lam_um: float) -> np.ndarray:
+    """Reference 2x2 characteristic matrix of one layer at one wavelength."""
+    delta = 2.0 * math.pi * n_complex * (d_nm * 1e-3) / lam_um
+    c, s = np.cos(delta), np.sin(delta)
+    return np.array([[c, 1j * s / n_complex], [1j * n_complex * s, c]])
 
 
 def film_point(materials, thicknesses_um):
@@ -37,26 +42,26 @@ class TestGridAndTables:
 
     def test_constant_table_interpolates_flat(self):
         t = MaterialTable("flat", [1.0, 2.0], [1.5, 1.5], [0.0, 0.0])
-        assert interp_nk(t, 1.37) == 1.5 + 0.0j
+        assert t.interp(1.37) == 1.5 + 0.0j
 
     def test_linear_table_midpoint(self):
         t = MaterialTable("lin", [1.0, 2.0], [1.4, 1.6], [0.0, 0.0])
-        assert interp_nk(t, 1.5) == pytest.approx(1.5 + 0.0j, abs=1e-15)
+        assert t.interp(1.5) == pytest.approx(1.5 + 0.0j, abs=1e-15)
 
     def test_tabulated_wavelength_returns_exact_pair(self):
         t = load_material("TiO2")
         i = 40
         lam = t.wavelength_um[i]
-        got = interp_nk(t, lam)
+        got = t.interp(lam)
         assert got == t.n[i] - 1j * t.k[i]
 
     def test_out_of_range_clamps_and_warns(self):
         t = MaterialTable("lin", [1.0, 2.0], [1.4, 1.6], [0.0, 0.1])
         with pytest.warns(ExtrapolationWarning):
-            got = interp_nk(t, 0.5)
+            got = t.interp(0.5)
         assert got == 1.4 - 0.0j
         with pytest.warns(ExtrapolationWarning):
-            got = interp_nk(t, 9.0)
+            got = t.interp(9.0)
         assert got == 1.6 - 0.1j
 
     def test_table_validation(self):
