@@ -27,9 +27,12 @@ cache.
 Results always come back in input order, one terminal record per point:
 either a response or a failure reason in the record's metadata.  The
 optional cache (in memory plus an append-only JSON-lines file) is keyed by
-the simulator (problem, kind and adapter command) and the point; keys
-quantize normalized continuous coordinates to 1e-9 so optimizer-proposed
-near-duplicates hit while physically distinct points never alias.
+the simulator (problem, kind, adapter command and, for the thin-film solver,
+its material-table directory) and the point; keys quantize normalized
+continuous coordinates to 1e-9 so optimizer-proposed near-duplicates hit
+while physically distinct points never alias.  With ``send_geometry`` an
+adapter also gets each point's raster as a file in a temporary directory
+that lives for one batch.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ import json
 import os
 import select
 import shlex
+import shutil
 import subprocess
+import tempfile
 import threading
 import time
 from collections import deque
@@ -51,7 +56,7 @@ import numpy as np
 from .problems import get_space, synthetic_response
 from .records import EvalRecord
 from .space import DesignPoint, DesignSpace, mse_loss
-from .tmm import motf_forward
+from .tmm import _data_dir, motf_forward
 
 __all__ = [
     "EngineError",
@@ -277,11 +282,14 @@ class Engine:
         self.binding = binding
         self.space = get_space(binding.problem)
         self._cache = _Cache(binding.cache_path) if binding.cache else None
-        # a response belongs to the simulator that produced it, not only to the problem
-        self._namespace = "|".join((binding.problem, binding.kind, binding.adapter_cmd or ""))
+        # a response belongs to the simulator that produced it, not only to the
+        # problem; the thin-film solver's physics also depends on its tables
+        tables = _data_dir() if binding.kind == "internal-motf" else ""
+        self._namespace = "|".join(
+            (binding.problem, binding.kind, binding.adapter_cmd or "", tables)
+        )
         self._next_id = 0
         self._id_lock = threading.Lock()
-        self._geom_dir: str | None = None
 
     def _simulate(self, point: DesignPoint) -> np.ndarray:
         if self.binding.kind == "internal-motf":
@@ -292,26 +300,14 @@ class Engine:
             time.sleep(self.binding.sleep_s)
         return synthetic_response(point, self.binding.problem)
 
-    def _geometry_path(self, point: DesignPoint, idx: int) -> str | None:
-        if not self.binding.send_geometry or self.binding.problem == "motf":
-            return None
-        import tempfile
-
-        from .shapes import save_raster, scf_layout, tpv_layout
-
-        if self._geom_dir is None:
-            self._geom_dir = tempfile.mkdtemp(prefix="idkit-geom-")
-        layout = tpv_layout if self.binding.problem == "tpv" else scf_layout
-        raster = layout(point)
-        path = os.path.join(self._geom_dir, f"g{idx}.pgm")
-        save_raster(raster, path)
-        return path
-
-    def _call(self, worker: _AdapterWorker | None, point: DesignPoint, idx: int) -> np.ndarray:
+    def _call(
+        self, worker: _AdapterWorker | None, point: DesignPoint, geometry: str | None
+    ) -> np.ndarray:
         """One checked reply from the internal simulator or the worker's child.
 
-        Raises _PointFailed for a terminal per-point failure and EngineError
-        when the adapter worker is lost.
+        With a ``geometry`` path, the point's raster is written there and the
+        path is sent along.  Raises _PointFailed for a terminal per-point
+        failure and EngineError when the adapter worker is lost.
         """
         if worker is None:
             try:
@@ -322,7 +318,11 @@ class Engine:
             with self._id_lock:
                 self._next_id += 1
                 req_id = self._next_id
-            geometry = self._geometry_path(point, idx)
+            if geometry is not None:
+                from .shapes import save_raster, scf_layout, tpv_layout
+
+                layout = tpv_layout if self.binding.problem == "tpv" else scf_layout
+                save_raster(layout(point), geometry)
             y = worker.call(req_id, _request_payload(req_id, self.binding.problem, point, geometry))
         return _checked(y, self.space.response_dim)
 
@@ -353,6 +353,13 @@ class Engine:
         cond = threading.Condition()
         in_flight = 0
         lost: list[str] = []
+        # rasters sent to the adapter live in a directory of this batch only
+        send_geometry = (
+            self.binding.kind == "external-adapter"
+            and self.binding.send_geometry
+            and self.binding.problem != "motf"
+        )
+        geom_dir = tempfile.mkdtemp(prefix="idkit-geom-") if todo and send_geometry else None
 
         def take() -> tuple[int, int] | None:
             nonlocal in_flight
@@ -368,8 +375,9 @@ class Engine:
         def run(worker: _AdapterWorker | None, i: int, attempt: int) -> bool:
             """Serve one job; False when the worker has lost its child."""
             t0 = time.monotonic()
+            geometry = None if geom_dir is None else os.path.join(geom_dir, f"g{i}.pgm")
             try:
-                y = self._call(worker, points[i], i)
+                y = self._call(worker, points[i], geometry)
             except _PointFailed as exc:
                 results[i] = _failed(points[i], str(exc), start_trial + i, time.monotonic() - t0)
                 return True
@@ -414,14 +422,18 @@ class Engine:
                     worker.close()
 
         n_threads = min(self.binding.workers, len(todo))
-        if n_threads == 1:
-            serve()
-        elif n_threads > 1:
-            threads = [threading.Thread(target=serve, daemon=True) for _ in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        try:
+            if n_threads == 1:
+                serve()
+            elif n_threads > 1:
+                threads = [threading.Thread(target=serve, daemon=True) for _ in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+        finally:
+            if geom_dir is not None:
+                shutil.rmtree(geom_dir, ignore_errors=True)
 
         for i in followers:
             t0 = time.monotonic()

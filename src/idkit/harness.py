@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -277,15 +278,19 @@ class ExperimentSpec:
         return d
 
 
-def _resolve_targets(spec: ExperimentSpec, space: DesignSpace) -> list[np.ndarray]:
-    """One target per seed."""
+def _resolve_targets(
+    spec: ExperimentSpec, space: DesignSpace, binding: SimulatorBinding
+) -> list[np.ndarray]:
+    """One target per seed; iid targets come from the run's own simulator."""
     if spec.target == "builtin":
         if space.response_dim != default_grid().size:
             raise ValueError("the builtin target is a film emissivity spectrum")
         t = radiative_cooler_target()
         return [t] * len(spec.seeds)
     if spec.target == "iid":
-        recs = iid_targets(spec.problem, k=len(spec.seeds), seed=spec.target_seed)
+        recs = iid_targets(
+            spec.problem, k=len(spec.seeds), seed=spec.target_seed, binding=binding
+        )
         return [r.response_array() for r in recs]
     t = load_target(spec.target, space)
     return [t] * len(spec.seeds)
@@ -356,7 +361,9 @@ class ExperimentReport:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def to_json(self) -> str:
+        """Standard JSON: a non-finite curve entry (a failed-only prefix) is null."""
         doc = self._payload()
+        doc["curves"] = [[v if math.isfinite(v) else None for v in c] for c in self.curves]
         doc["spec"] = self.spec
         doc["metadata"] = self.metadata
         doc["report_hash"] = self.report_hash()
@@ -373,7 +380,7 @@ class ExperimentReport:
         return cls(
             spec=doc["spec"],
             seeds=tuple(doc["seeds"]),
-            curves=tuple(tuple(c) for c in doc["curves"]),
+            curves=tuple(tuple(math.inf if v is None else v for v in c) for c in doc["curves"]),
             train_best=None if doc["train_best"] is None else tuple(doc["train_best"]),
             failed_seeds=tuple(doc["failed_seeds"]),
             metadata=doc.get("metadata", {}),
@@ -391,6 +398,7 @@ def _run_seed(
     target: np.ndarray,
     dataset: list[EvalRecord] | None,
     record_path: str | None,
+    binding: SimulatorBinding,
 ) -> list[float]:
     space = get_space(spec.problem)
     session = make_optimizer(spec.algo, space, dict(spec.config), seed)
@@ -401,12 +409,6 @@ def _run_seed(
             if not r.failed
         ]
         warm_start(session, rescored, spec.warm_start_k)
-    binding = default_binding(
-        spec.problem,
-        workers=spec.workers,
-        cache=spec.cache,
-        adapter_cmd=spec.adapter_cmd,
-    )
     engine = Engine(binding)
     curve: list[float] = []
     kept: list[EvalRecord] = []
@@ -438,7 +440,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     CSV/SVG renderings.
     """
     space = get_space(spec.problem)
-    targets = _resolve_targets(spec, space)
+    binding = default_binding(
+        spec.problem,
+        workers=spec.workers,
+        cache=spec.cache,
+        adapter_cmd=spec.adapter_cmd,
+    )
+    targets = _resolve_targets(spec, space, binding)
     dataset = load_records(spec.dataset_path) if spec.dataset_path else None
     if spec.out_dir:
         os.makedirs(spec.out_dir, exist_ok=True)
@@ -454,7 +462,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             else None
         )
         try:
-            curve = _run_seed(spec, seed, targets[i], dataset, record_path)
+            curve = _run_seed(spec, seed, targets[i], dataset, record_path, binding)
         except Exception as exc:
             failed.append(seed)
             errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")

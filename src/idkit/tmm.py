@@ -11,7 +11,13 @@ Conventions, also stated in the ``motf`` problem card:
   [B, C]^T = (M_1 ... M_L) [1, N_s]^T, transmittance
   T = 4*n0*Re(N_s)/|n0*B + C|^2, emissivity = 1 - R - T.
 
-Thicknesses are nanometres, wavelengths micrometres throughout.
+One kernel, ``_spectrum``, runs this recurrence for ``stack_spectrum`` and
+``motf_forward`` alike, with one complex exponential per layer: cos delta and
+i sin delta are (e^{i delta} +- e^{-i delta})/2, e^{-i delta} being the
+reciprocal of e^{i delta} (Byrnes, arXiv:1603.02720).
+
+Wavelengths are micrometres throughout; ``LayerStack`` thicknesses are
+nanometres and film-stack point thicknesses micrometres.
 """
 
 from __future__ import annotations
@@ -190,53 +196,63 @@ def _index_at(material, lam: np.ndarray) -> np.ndarray:
     return np.full(lam.shape, complex(material))
 
 
-def stack_spectrum(stack: LayerStack, grid: Sequence[float] | None = None) -> SpectrumResult:
-    """Reflectance and transmittance of the stack over the wavelength grid.
+def _spectrum(lam: np.ndarray, n0: float, n_sub: np.ndarray, layers: list) -> tuple:
+    """(R, T) over lam; layers are (N, K = 2*pi*N/lam, d_um) from the ambient side.
 
-    Vectorized over wavelengths: the matrix product is accumulated on the
-    column vector [B, C] = (M_1 ... M_L) [1, N_s], bottom layer first.
+    [B, C] = (M_1 ... M_L) [1, N_s] is accumulated bottom layer first.
     """
+    b = np.ones(lam.shape, dtype=complex)
+    c = n_sub.copy()
+    for layer in range(len(layers) - 1, -1, -1):
+        idx, k, d_um = layers[layer]
+        if d_um == 0.0:
+            continue
+        e = np.exp(1j * d_um * k)
+        inv = 1.0 / e
+        cd = 0.5 * (e + inv)
+        isd = 0.5 * (e - inv)
+        b, c = cd * b + (isd / idx) * c, (isd * idx) * b + cd * c
+        finite = np.isfinite(b) & np.isfinite(c)
+        if not finite.all():
+            raise TmmError(f"non-finite field after layer {layer} at lambda = {lam[~finite][0]:.6g} um")
+    denom = n0 * b + c
+    reflectance = np.abs((n0 * b - c) / denom) ** 2
+    transmittance = 4.0 * n0 * n_sub.real / np.abs(denom) ** 2
+    finite = np.isfinite(reflectance) & np.isfinite(transmittance)
+    if not finite.all():
+        raise TmmError(f"non-finite spectrum at lambda = {lam[~finite][0]:.6g} um")
+    return reflectance, transmittance
+
+
+def stack_spectrum(stack: LayerStack, grid: Sequence[float] | None = None) -> SpectrumResult:
+    """Reflectance and transmittance of the stack over the wavelength grid."""
     lam = default_grid() if grid is None else np.asarray(grid, dtype=float)
     if lam.ndim != 1 or np.any(lam <= 0):
         raise ValueError("grid must be a 1-D array of positive wavelengths (um)")
-    n_sub = _index_at(stack.substrate, lam)
-    b = np.ones(lam.shape, dtype=complex)
-    c = n_sub.copy()
-    for rev_i, (mat, d_nm) in enumerate(reversed(stack.layers)):
-        if d_nm == 0.0:
+    layers = []
+    for mat, d_nm in stack.layers:
+        if d_nm == 0.0:  # inert, so its table is never read
+            layers.append((None, None, 0.0))
             continue
         idx = _index_at(mat, lam)
-        delta = 2.0 * np.pi * idx * (d_nm * 1e-3) / lam
-        cd, sd = np.cos(delta), np.sin(delta)
-        b, c = cd * b + (1j * sd / idx) * c, (1j * idx * sd) * b + cd * c
-        if not (np.all(np.isfinite(b.view(float))) and np.all(np.isfinite(c.view(float)))):
-            layer = len(stack.layers) - 1 - rev_i
-            bad = np.flatnonzero(~(np.isfinite(b) & np.isfinite(c)))[0]
-            raise TmmError(
-                f"non-finite field after layer {layer} at lambda = {lam[bad]:.6g} um"
-            )
-    n0 = stack.ambient_index
-    denom = n0 * b + c
-    r = (n0 * b - c) / denom
-    reflectance = np.abs(r) ** 2
-    transmittance = 4.0 * n0 * n_sub.real / np.abs(denom) ** 2
-    if not (np.all(np.isfinite(reflectance)) and np.all(np.isfinite(transmittance))):
-        bad = np.flatnonzero(~(np.isfinite(reflectance) & np.isfinite(transmittance)))[0]
-        raise TmmError(f"non-finite spectrum at lambda = {lam[bad]:.6g} um")
-    return SpectrumResult(lam, reflectance, transmittance)
+        layers.append((idx, 2.0 * np.pi * idx / lam, d_nm * 1e-3))
+    n_sub = _index_at(stack.substrate, lam)
+    return SpectrumResult(lam, *_spectrum(lam, stack.ambient_index, n_sub, layers))
 
 
 # -- the 20-parameter film-stack problem ---------------------------------------
 
-_NK_GRID_CACHE: dict[tuple[str, str], np.ndarray] = {}
+_NK_CACHE: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _grid_index(name: str) -> np.ndarray:
-    """Material index interpolated onto the default grid, cached per data dir."""
+def _grid_nk(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(N, K = 2*pi*N/lam) of a material on the default grid, cached per data dir."""
     key = (_data_dir(), name)
-    if key not in _NK_GRID_CACHE:
-        _NK_GRID_CACHE[key] = load_material(name).interp(default_grid())
-    return _NK_GRID_CACHE[key]
+    if key not in _NK_CACHE:
+        lam = default_grid()
+        idx = load_material(name).interp(lam)
+        _NK_CACHE[key] = (idx, 2.0 * np.pi * idx / lam)
+    return _NK_CACHE[key]
 
 
 def motf_forward(point: DesignPoint) -> np.ndarray:
@@ -249,27 +265,10 @@ def motf_forward(point: DesignPoint) -> np.ndarray:
     vals = point.values
     if len(vals) != 20:
         raise SpaceError(f"film-stack point needs 20 values, got {len(vals)}")
-    lam = default_grid()
-    n_sub = _grid_index(SUBSTRATE_MATERIAL)
-    b = np.ones(lam.shape, dtype=complex)
-    c = n_sub.copy()
-    for li in range(9, -1, -1):
-        mat = vals[li]
+    layers = []
+    for mat, d_um in zip(vals[:10], vals[10:]):
         if mat not in MATERIALS:
             raise SpaceError(f"unknown material {mat!r}")
-        d_um = float(vals[10 + li])
-        if d_um == 0.0:
-            continue
-        idx = _grid_index(mat)
-        delta = 2.0 * np.pi * idx * d_um / lam
-        cd, sd = np.cos(delta), np.sin(delta)
-        b, c = cd * b + (1j * sd / idx) * c, (1j * idx * sd) * b + cd * c
-    denom = b + c
-    r = (b - c) / denom
-    reflectance = np.abs(r) ** 2
-    transmittance = 4.0 * n_sub.real / np.abs(denom) ** 2
-    eps = 1.0 - reflectance - transmittance
-    if not np.all(np.isfinite(eps)):
-        bad = np.flatnonzero(~np.isfinite(eps))[0]
-        raise TmmError(f"non-finite emissivity at lambda = {lam[bad]:.6g} um")
-    return eps
+        layers.append((*_grid_nk(mat), float(d_um)))
+    r, t = _spectrum(default_grid(), 1.0, _grid_nk(SUBSTRATE_MATERIAL)[0], layers)
+    return 1.0 - r - t

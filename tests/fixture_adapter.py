@@ -14,6 +14,9 @@ Modes:
                     SECONDS (default 0) after reading it
     short-y         answer with a one-value y whatever the problem
     nan-y           answer with the echo y, its first value replaced by NaN
+    geometry        answer with the echo y if the request's geometry path
+                    exists and holds a binary PGM (starts with P5), else
+                    with an error
 
 If FIXTURE_PID_DIR is set, every mode first creates an empty file named
 after its process id in that directory.
@@ -91,6 +94,20 @@ def main():
         serve(lambda r: json.dumps({"id": r["id"], "y": [0.5]}))
     elif mode == "nan-y":
         serve(lambda r: json.dumps({"id": r["id"], "y": [float("nan")] + echo_y(r)[1:]}))
+    elif mode == "geometry":
+
+        def check_geometry(r):
+            path = r.get("geometry")
+            try:
+                with open(path, "rb") as fh:
+                    ok = fh.read(2) == b"P5"
+            except (TypeError, OSError):
+                ok = False
+            if not ok:
+                return json.dumps({"id": r["id"], "error": f"no PGM at {path!r}"})
+            return json.dumps({"id": r["id"], "y": echo_y(r)})
+
+        serve(check_geometry)
     else:
         raise SystemExit(f"unknown fixture mode {mode!r}")
 

@@ -207,6 +207,26 @@ class TestCacheKey:
         for p, r in zip(pts, recs):
             assert list(r.response) == [float(v) for v in p.values[:3]]
 
+    def test_other_material_tables_miss_the_motf_cache(self, tmp_path, monkeypatch):
+        from idkit.tmm import MaterialTable, _data_dir
+
+        bundled = _data_dir()
+        override = tmp_path / "tables"
+        override.mkdir()
+        for name in os.listdir(bundled):
+            t = MaterialTable.from_text(os.path.join(bundled, name))
+            MaterialTable(t.name, t.wavelength_um, 1.1 * t.n, t.k).to_text(override / name)
+        path = str(tmp_path / "cache.jsonl")
+        binding = SimulatorBinding(kind="internal-motf", problem="motf", cache=True, cache_path=path)
+        pts = sample_points("motf", 2, seed=59)
+        first = Engine(binding).evaluate_batch(pts)
+        monkeypatch.setenv("IDKIT_DATA_DIR", str(override))
+        recs = Engine(binding).evaluate_batch(pts)
+        assert all("cache" not in r.meta for r in recs)
+        for p, a, r in zip(pts, first, recs):
+            assert np.array_equal(r.response, motf_forward(p))
+            assert not np.array_equal(r.response, a.response)
+
 
 class TestEchoAdapter:
     def test_roundtrip_returns_exact_coordinates(self):
@@ -237,15 +257,17 @@ class TestEchoAdapter:
         assert recs[3].meta.get("cache") == "hit"
         assert np.array_equal(recs[3].response, recs[0].response)
 
-    def test_geometry_payload_accepted(self):
+    def test_geometry_payload_accepted(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         pts = sample_points("tpv", 2, seed=23)
-        binding = external_binding(problem="tpv", workers=1, send_geometry=True)
-        engine = Engine(binding)
-        recs = engine.evaluate_batch(pts)
-        assert all(not r.failed for r in recs)
-        assert engine._geom_dir is not None
-        pgms = [f for f in os.listdir(engine._geom_dir) if f.endswith(".pgm")]
-        assert len(pgms) == 2
+        binding = external_binding(
+            problem="tpv", cmd=fixture_cmd("geometry"), workers=1, send_geometry=True
+        )
+        recs = Engine(binding).evaluate_batch(pts)
+        assert [r.meta.get("error") for r in recs] == [None, None]
+        assert not [f for f in os.listdir(tmp_path) if f.startswith("idkit-geom-")]
 
 
 class TestAdapterFaults:

@@ -308,10 +308,10 @@ class TestRunExperiment:
     def test_failed_seed_is_flagged_not_fatal(self, monkeypatch):
         real = H._run_seed
 
-        def flaky(spec, seed, target, dataset, record_path):
+        def flaky(spec, seed, target, dataset, record_path, binding):
             if seed == 1:
                 raise RuntimeError("boom")
-            return real(spec, seed, target, dataset, record_path)
+            return real(spec, seed, target, dataset, record_path, binding)
 
         monkeypatch.setattr(H, "_run_seed", flaky)
         rep = H.run_experiment(
@@ -323,7 +323,7 @@ class TestRunExperiment:
         assert any("boom" in e for e in rep.metadata["errors"])
 
     def test_all_seeds_failing_raises(self, monkeypatch):
-        def doomed(spec, seed, target, dataset, record_path):
+        def doomed(spec, seed, target, dataset, record_path, binding):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(H, "_run_seed", doomed)
@@ -345,6 +345,22 @@ class TestRunExperiment:
             assert len(recs) == 9
             assert [r.trial for r in recs] == list(range(9))
 
+    def test_iid_target_comes_from_the_run_adapter(self, monkeypatch):
+        seen = []
+        real = H._run_seed
+
+        def spy(spec, seed, target, *rest):
+            seen.append(target)
+            return real(spec, seed, target, *rest)
+
+        monkeypatch.setattr(H, "_run_seed", spy)
+        spec = H.ExperimentSpec(problem="scf", algo="rs", budget=2, seeds=(0,),
+                                adapter_cmd=f"{sys.executable} -m idkit.adapters")
+        H.run_experiment(spec)
+        # the echo adapter answers x[:3], so the target is that of its generating point
+        x = get_space("scf").sample_uniform(np.random.default_rng(spec.target_seed))
+        assert np.array_equal(seen[0], [float(v) for v in x.values[:3]])
+
 
 class TestReportSerialization:
     def _report(self, **kw):
@@ -360,6 +376,23 @@ class TestReportSerialization:
         assert back.report_hash() == rep.report_hash()
         assert back.curves == rep.curves
         assert back.seeds == rep.seeds
+
+    def test_failed_prefix_is_standard_json(self):
+        rep = self._report()
+        failing = H.ExperimentReport(
+            spec=rep.spec, seeds=rep.seeds,
+            curves=tuple((float("inf"), float("inf")) + c[2:] for c in rep.curves),
+            train_best=rep.train_best, failed_seeds=rep.failed_seeds,
+        )
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = failing.to_json()
+        doc = json.loads(text, parse_constant=refuse)
+        back = H.ExperimentReport.from_json(text)
+        assert back.curves == failing.curves
+        assert back.report_hash() == failing.report_hash() == doc["report_hash"]
 
     def test_hash_ignores_metadata(self):
         rep = self._report()

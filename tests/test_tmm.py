@@ -208,10 +208,19 @@ class TestFilmForward:
         rng = np.random.default_rng(2)
         for _ in range(10):
             mats = [MATERIALS[i] for i in rng.integers(0, 7, size=10)]
-            pt = film_point(mats, rng.random(10))
-            eps = motf_forward(pt)
+            ds_um = rng.random(10)
+            eps = motf_forward(film_point(mats, ds_um))
             assert np.all(eps >= -1e-9)
             assert np.all(eps <= 1.0 + 1e-9)
+            # energy bounds on R and T themselves: 0 <= R, 0 <= T, R + T <= 1
+            stack = LayerStack(
+                tuple((load_material(m), d * 1000.0) for m, d in zip(mats, ds_um)),
+                substrate=load_material("Ag"),
+            )
+            res = stack_spectrum(stack)
+            assert np.all(res.reflectance >= -1e-12)
+            assert np.all(res.transmittance >= -1e-12)
+            assert np.all(res.reflectance + res.transmittance <= 1.0 + 1e-12)
 
     def test_thickness_continuity(self):
         rng = np.random.default_rng(3)
