@@ -120,7 +120,8 @@ def _cmd_split(ns) -> int:
 def _cmd_targets(ns) -> int:
     _fill(ns, k=5, seed=harness.TARGET_SEED,
           out=f"{ns.problem}_targets.jsonl")
-    records = harness.iid_targets(ns.problem, ns.k, ns.seed)
+    binding = harness.default_binding(ns.problem, adapter_cmd=ns.adapter_cmd)
+    records = harness.iid_targets(ns.problem, ns.k, ns.seed, binding=binding)
     dump_records(ns.out, records)
     print(f"wrote {len(records)} targets to {ns.out}")
     return 0
@@ -256,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, choices=_PROBLEMS)
     p.add_argument("--k", type=int, help="number of targets (default 5)")
     p.add_argument("--seed", type=int, help="target draw seed")
+    p.add_argument("--adapter-cmd", help="external simulator command")
     p.add_argument("--out", help="output .jsonl path")
     p.set_defaults(func=_cmd_targets)
 

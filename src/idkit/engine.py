@@ -8,29 +8,37 @@ Three simulator kinds exist:
                          non-physical, exists so the pipeline is testable
                          offline; can also sleep per call for throughput
                          experiments);
-* ``external-adapter``   one child process per worker speaking
-                         line-delimited JSON over stdin/stdout.
+* ``external-adapter``   child processes speaking line-delimited JSON over
+                         stdin/stdout, one per busy worker.
 
 All three go through one scheduler.  ``evaluate_batch`` splits the batch
 into jobs (points to simulate) and followers (in-batch duplicates of a job,
-and cache hits).  Workers take jobs from a shared queue; an external worker
-owns one adapter child for the batch and kills it however it exits.  A batch
-with one job, or a binding with one worker, is served in the calling thread;
+and cache hits).  Workers take jobs from a shared queue.  A batch with one
+job, or a binding with one worker, is served in the calling thread;
 otherwise ``min(workers, jobs)`` threads serve the queue.  A reply of the
 wrong length or with a non-finite value fails its point and is never
-cached.  A worker whose child dies puts its point back in the queue (at most
-``MAX_ATTEMPTS`` tries in all) and retires, so a worker that finds the queue
-empty waits while any job is still in flight; points still queued when no
-worker is left fail with the last error.  Followers are then read from the
-cache.
+cached, and so does a geometry raster that cannot be written.  Followers
+are then read from the cache.
+
+Adapter children live as long as the engine: an external worker borrows an
+idle child from the engine, or spawns one when it takes its first job, and
+hands it back when the batch ends, so a run of one-point batches starts one
+child.  A child that times out, breaks the protocol or dies is killed and
+never reused; its point goes back in the queue (at most ``MAX_ATTEMPTS``
+tries in all) and the worker spawns a replacement for its next job.  A
+worker whose child cannot be launched retires, so a worker that finds the
+queue empty waits while any job is still in flight; points still queued
+when no worker is left fail with the last error.  ``Engine.close`` (or
+leaving a ``with Engine(...)`` block) kills the idle children; an engine
+dropped without it has them killed when it is garbage collected.
 
 Results always come back in input order, one terminal record per point:
 either a response or a failure reason in the record's metadata.  The
 optional cache (in memory plus an append-only JSON-lines file) is keyed by
 the simulator (problem, kind, adapter command and, for the thin-film solver,
-its material-table directory) and the point; keys quantize normalized
-continuous coordinates to 1e-9 so optimizer-proposed near-duplicates hit
-while physically distinct points never alias.  With ``send_geometry`` an
+a digest of its material tables' contents) and the point; keys quantize
+normalized continuous coordinates to 1e-9 so optimizer-proposed
+near-duplicates hit while physically distinct points never alias.  With ``send_geometry`` an
 adapter also gets each point's raster as a file in a temporary directory
 that lives for one batch.
 """
@@ -47,6 +55,7 @@ import subprocess
 import tempfile
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -275,8 +284,30 @@ class _AdapterWorker:
         return [float(v) for v in y]
 
 
+def _tables_digest(directory: str) -> str:
+    """Digest of the names and bytes of the material tables in a directory."""
+    try:
+        names = sorted(n for n in os.listdir(directory) if n.endswith(".nk"))
+    except OSError:
+        names = []  # motf_forward fails every point, and failures are not cached
+    h = hashlib.sha256()
+    for name in names:
+        with open(os.path.join(directory, name), "rb") as fh:
+            h.update(f"{name}\0{hashlib.sha256(fh.read()).hexdigest()}\0".encode())
+    return h.hexdigest()
+
+
+def _close_all(workers: list[_AdapterWorker]) -> None:
+    while workers:
+        workers.pop().close()
+
+
 class Engine:
-    """Owns the binding and its cache; evaluate_batch is the single entry point."""
+    """Owns the binding, its cache and its idle adapter children.
+
+    ``evaluate_batch`` is the single entry point.  Use the engine as a context
+    manager, or call :meth:`close`, to kill its adapter children when done.
+    """
 
     def __init__(self, binding: SimulatorBinding):
         self.binding = binding
@@ -284,12 +315,39 @@ class Engine:
         self._cache = _Cache(binding.cache_path) if binding.cache else None
         # a response belongs to the simulator that produced it, not only to the
         # problem; the thin-film solver's physics also depends on its tables
-        tables = _data_dir() if binding.kind == "internal-motf" else ""
+        tables = ""
+        if binding.cache and binding.kind == "internal-motf":
+            tables = _tables_digest(_data_dir())
         self._namespace = "|".join(
             (binding.problem, binding.kind, binding.adapter_cmd or "", tables)
         )
         self._next_id = 0
         self._id_lock = threading.Lock()
+        # live adapter children between batches; the finalizer holds the list,
+        # not the engine, so a dropped engine is still collected
+        self._idle: list[_AdapterWorker] = []
+        weakref.finalize(self, _close_all, self._idle)
+
+    def close(self) -> None:
+        """Kill the idle adapter children; a later batch spawns new ones."""
+        _close_all(self._idle)
+
+    def __enter__(self) -> "Engine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _checkout(self) -> _AdapterWorker:
+        """An idle live child of this engine, or a newly spawned one."""
+        while True:
+            try:
+                worker = self._idle.pop()
+            except IndexError:
+                return _AdapterWorker(self.binding.adapter_cmd, self.binding.timeout)
+            if worker.alive():
+                return worker
+            worker.close()
 
     def _simulate(self, point: DesignPoint) -> np.ndarray:
         if self.binding.kind == "internal-motf":
@@ -322,7 +380,10 @@ class Engine:
                 from .shapes import save_raster, scf_layout, tpv_layout
 
                 layout = tpv_layout if self.binding.problem == "tpv" else scf_layout
-                save_raster(layout(point), geometry)
+                try:
+                    save_raster(layout(point), geometry)
+                except OSError as exc:
+                    raise _PointFailed(f"geometry raster not written: {exc}") from exc
             y = worker.call(req_id, _request_payload(req_id, self.binding.problem, point, geometry))
         return _checked(y, self.space.response_dim)
 
@@ -397,29 +458,37 @@ class Engine:
             return True
 
         def serve() -> None:
-            # an external worker owns one child for the batch; losing the child
-            # retires the worker and its in-flight point goes back for the others
+            # an external worker gets a child for its first job and hands it back
+            # to the engine at the end; a lost child is closed and its point goes
+            # back in the queue, and the next job gets a new child
             nonlocal in_flight
+            external = self.binding.kind == "external-adapter"
             worker = None
-            if self.binding.kind == "external-adapter":
-                try:
-                    worker = _AdapterWorker(self.binding.adapter_cmd, self.binding.timeout)
-                except OSError as exc:
-                    lost.append(f"adapter launch failed: {exc}")
-                    return
             try:
                 while (job := take()) is not None:
                     try:
-                        alive = run(worker, *job)
+                        if external and worker is None:
+                            try:
+                                worker = self._checkout()
+                            except OSError as exc:
+                                # not an attempt: the job waits for another worker
+                                lost.append(f"adapter launch failed: {exc}")
+                                with cond:
+                                    todo.appendleft(job)
+                                break
+                        if not run(worker, *job):
+                            worker.close()
+                            worker = None
                     finally:
                         with cond:
                             in_flight -= 1
                             cond.notify_all()
-                    if not alive:
-                        return
-            finally:
+            except BaseException:
                 if worker is not None:
-                    worker.close()
+                    worker.close()  # it may be mid-request
+                raise
+            if worker is not None:
+                self._idle.append(worker)
 
         n_threads = min(self.binding.workers, len(todo))
         try:
@@ -461,7 +530,8 @@ def evaluate_batch(
     start_trial: int = 0,
 ) -> list[EvalRecord]:
     """One-shot convenience wrapper around a throwaway Engine."""
-    return Engine(binding).evaluate_batch(points, target, start_trial)
+    with Engine(binding) as engine:
+        return engine.evaluate_batch(points, target, start_trial)
 
 
 def adapter_roundtrip(
@@ -501,8 +571,8 @@ def throughput_curve(
     """Wall-clock seconds to evaluate `points` at each worker count."""
     out = []
     for w in worker_counts:
-        engine = Engine(replace(binding, workers=w))
-        t0 = time.monotonic()
-        engine.evaluate_batch(points, target)
-        out.append((w, time.monotonic() - t0))
+        with Engine(replace(binding, workers=w)) as engine:
+            t0 = time.monotonic()
+            engine.evaluate_batch(points, target)
+            out.append((w, time.monotonic() - t0))
     return out

@@ -110,7 +110,8 @@ def generate_dataset(
     binding = binding or default_binding(problem)
     rng = np.random.default_rng(seed)
     points = [space.sample_uniform(rng) for _ in range(n)]
-    records = Engine(binding).evaluate_batch(points, target=None)
+    with Engine(binding) as engine:
+        records = engine.evaluate_batch(points, target=None)
     records = [r.with_zero_time() for r in records]
     failures = [r for r in records if r.failed]
     if len(failures) > max_failure_rate * n:
@@ -171,7 +172,8 @@ def iid_targets(
     binding = binding or default_binding(problem)
     rng = np.random.default_rng(seed)
     points = [space.sample_uniform(rng) for _ in range(k)]
-    records = Engine(binding).evaluate_batch(points, target=None)
+    with Engine(binding) as engine:
+        records = engine.evaluate_batch(points, target=None)
     bad = [r for r in records if r.failed]
     if bad:
         raise HarnessError(f"{len(bad)}/{k} target evaluations failed")
@@ -409,21 +411,21 @@ def _run_seed(
             if not r.failed
         ]
         warm_start(session, rescored, spec.warm_start_k)
-    engine = Engine(binding)
     curve: list[float] = []
     kept: list[EvalRecord] = []
     best = float("inf")
     done = 0
-    while done < spec.budget:
-        k = min(spec.ask_batch, spec.budget - done)
-        points = session.ask(k)
-        records = engine.evaluate_batch(points, target=target, start_trial=done)
-        session.tell(records)
-        for rec in records:
-            best = min(best, rec.loss)
-            curve.append(best)
-        kept.extend(records)
-        done += len(records)
+    with Engine(binding) as engine:
+        while done < spec.budget:
+            k = min(spec.ask_batch, spec.budget - done)
+            points = session.ask(k)
+            records = engine.evaluate_batch(points, target=target, start_trial=done)
+            session.tell(records)
+            for rec in records:
+                best = min(best, rec.loss)
+                curve.append(best)
+            kept.extend(records)
+            done += len(records)
     if record_path is not None:
         dump_records(record_path, [r.with_zero_time() for r in kept])
     return curve

@@ -11,6 +11,7 @@ good density under the density ratio l/g.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -52,12 +53,17 @@ class _ContParzen:
             self.sigma = np.clip(nn, bw_floor, 1.0)
         self.n_comp = n + 1  # plus the uniform prior component
 
+    @cached_property
+    def _kernels(self) -> list[tuple[float, float, float, float]]:
+        """Per kernel: mu, sigma and the normal CDF at the ends of [0, 1]."""
+        lo, hi = ndtr((0.0 - self.mu) / self.sigma), ndtr((1.0 - self.mu) / self.sigma)
+        return list(zip(self.mu.tolist(), self.sigma.tolist(), lo.tolist(), hi.tolist()))
+
     def sample(self, rng: np.random.Generator) -> float:
         c = int(rng.integers(self.n_comp))
         if c == self.mu.size:
             return float(rng.random())
-        mu, sigma = self.mu[c], self.sigma[c]
-        lo, hi = ndtr((0.0 - mu) / sigma), ndtr((1.0 - mu) / sigma)
+        mu, sigma, lo, hi = self._kernels[c]
         return float(mu + sigma * ndtri(lo + rng.random() * (hi - lo)))
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
@@ -76,9 +82,13 @@ class _CatParzen:
     def __init__(self, indices: np.ndarray, k: int):
         counts = np.bincount(indices.astype(int), minlength=k).astype(float) + 1.0
         self.p = counts / counts.sum()
+        self._cdf = self.p.cumsum()
+        self._cdf /= self._cdf[-1]
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.p.size, p=self.p))
+        # inverse-CDF draw: the same draw, from the same stream, as
+        # rng.choice(k, p=self.p), without its per-call argument checks
+        return int(self._cdf.searchsorted(rng.random(), side="right"))
 
     def logpdf(self, idx: np.ndarray) -> np.ndarray:
         return np.log(self.p[idx.astype(int)])

@@ -164,22 +164,19 @@ def supercell_polygons(
 
 def check_simple(poly: np.ndarray) -> bool:
     """True iff the closed polyline has no properly crossing edge pair."""
-    p = np.asarray(poly, dtype=float)
-    n = p.shape[0]
-    a = p
-    b = np.roll(p, -1, axis=0)
-    # orientation of point r relative to segment (p, q)
-    def orient(px, py, qx, qy, rx, ry):
-        return (qx - px) * (ry - py) - (qy - py) * (rx - px)
-
-    i, j = np.triu_indices(n, k=2)
-    keep = ~((i == 0) & (j == n - 1))  # first and last edge are adjacent
-    i, j = i[keep], j[keep]
-    d1 = orient(a[i, 0], a[i, 1], b[i, 0], b[i, 1], a[j, 0], a[j, 1])
-    d2 = orient(a[i, 0], a[i, 1], b[i, 0], b[i, 1], b[j, 0], b[j, 1])
-    d3 = orient(a[j, 0], a[j, 1], b[j, 0], b[j, 1], a[i, 0], a[i, 1])
-    d4 = orient(a[j, 0], a[j, 1], b[j, 0], b[j, 1], b[i, 0], b[i, 1])
-    crossing = (d1 * d2 < 0) & (d3 * d4 < 0)
+    a = np.asarray(poly, dtype=float)
+    n = a.shape[0]
+    b = np.roll(a, -1, axis=0)
+    ex, ey = (b[:, 0] - a[:, 0])[:, None], (b[:, 1] - a[:, 1])[:, None]
+    ax, ay = a[:, 0][:, None], a[:, 1][:, None]
+    # orientation of each edge end point (column) relative to each edge (row)
+    start = ex * (a[:, 1] - ay) - ey * (a[:, 0] - ax)
+    end = ex * (b[:, 1] - ay) - ey * (b[:, 0] - ax)
+    # edge j straddles edge i's line, and edge i straddles edge j's line
+    straddle = start * end < 0
+    crossing = np.triu(straddle & straddle.T, k=2)
+    if n > 2:
+        crossing[0, n - 1] = False  # first and last edge are adjacent
     return not bool(np.any(crossing))
 
 
@@ -207,7 +204,6 @@ def rasterize(
     ox, oy = origin
     centers = ox + (np.arange(resolution) + 0.5) * h
     rows_y = oy + (np.arange(resolution) + 0.5) * h
-    grid = np.zeros((resolution, resolution), dtype=bool)
     x1s, y1s, x2s, y2s = [], [], [], []
     for poly in polys:
         p = np.asarray(poly, dtype=float)
@@ -217,14 +213,16 @@ def rasterize(
     x1 = np.concatenate(x1s); y1 = np.concatenate(y1s)
     x2 = np.concatenate(x2s); y2 = np.concatenate(y2s)
     # half-open vertical rule: an edge spans scanline y iff y1 <= y < y2 or y2 <= y < y1
-    for r, y in enumerate(rows_y):
-        m = (y1 <= y) != (y2 <= y)
-        if not np.any(m):
-            continue
-        t = (y - y1[m]) / (y2[m] - y1[m])
-        xs = np.sort(x1[m] + t * (x2[m] - x1[m]))
-        grid[r] = (np.searchsorted(xs, centers, side="right") % 2).astype(bool)
-    return grid
+    rows, edges = np.nonzero((y1 <= rows_y[:, None]) != (y2 <= rows_y[:, None]))
+    y = rows_y[rows]
+    t = (y - y1[edges]) / (y2[edges] - y1[edges])
+    xs = x1[edges] + t * (x2[edges] - x1[edges])
+    # a crossing counts for every pixel center at or right of it: tally each at
+    # the first such column, and a running sum along the row counts them all
+    cols = np.searchsorted(centers, xs, side="left")
+    toggles = np.bincount(rows * (resolution + 1) + cols, minlength=resolution * (resolution + 1))
+    counts = np.cumsum(toggles.reshape(resolution, resolution + 1), axis=1)
+    return (counts[:, :resolution] % 2).astype(bool)
 
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)

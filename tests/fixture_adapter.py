@@ -3,6 +3,7 @@
 Usage: python fixture_adapter.py MODE [ARG]
 
 Modes:
+    echo            answer with the first coordinates, like idkit.adapters
     wrong-id        answer every request with id+1
     garbage         answer with a non-JSON line
     sleep SECONDS   sleep before each answer
@@ -59,7 +60,9 @@ def main():
     pid_dir = os.environ.get("FIXTURE_PID_DIR")
     if pid_dir:
         open(os.path.join(pid_dir, str(os.getpid())), "w").close()
-    if mode == "wrong-id":
+    if mode == "echo":
+        serve(lambda r: json.dumps({"id": r["id"], "y": echo_y(r)}))
+    elif mode == "wrong-id":
         serve(lambda r: json.dumps({"id": r["id"] + 1, "y": echo_y(r)}))
     elif mode == "garbage":
         serve(lambda r: "this is not json {{{")

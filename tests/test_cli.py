@@ -14,6 +14,7 @@ from idkit.records import load_records
 from idkit.space import mse_loss
 
 HELP_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_help.txt")
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixture_adapter.py")
 
 
 @pytest.fixture()
@@ -105,6 +106,17 @@ class TestGenDataSplitTargets:
         got = load_records(str(data_dir / "scf_targets.jsonl"))
         ref = iid_targets("scf", k=2, seed=TARGET_SEED)
         assert [r.to_json() for r in got] == [r.to_json() for r in ref]
+
+    def test_targets_from_an_adapter(self, data_dir):
+        out = str(data_dir / "t.jsonl")
+        rc = main(["targets", "--problem", "scf", "--k", "2", "--seed", "8",
+                   "--adapter-cmd", f"{sys.executable} {FIXTURE} echo", "--out", out])
+        assert rc == 0
+        got = load_records(out)
+        assert len(got) == 2
+        # the echo fixture answers x[:3], unlike the stand-in simulator
+        for rec in got:
+            assert list(rec.response_array()) == [float(v) for v in rec.point.values[:3]]
 
 
 class TestConfigMerging:

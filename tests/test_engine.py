@@ -1,7 +1,10 @@
 """Batch evaluation engine: ordering, caching, worker pools, adapters."""
 
+import gc
 import os
+import shutil
 import sys
+import threading
 import time
 
 import numpy as np
@@ -11,6 +14,7 @@ from idkit.engine import (
     AdapterProtocolError,
     AdapterTimeoutError,
     Engine,
+    MAX_ATTEMPTS,
     EngineError,
     SimulatorBinding,
     adapter_roundtrip,
@@ -39,6 +43,17 @@ def sample_points(problem, n, seed=0):
 def external_binding(problem="scf", cmd=ECHO_CMD, **kw):
     kw.setdefault("timeout", 20.0)
     return SimulatorBinding(kind="external-adapter", problem=problem, adapter_cmd=cmd, **kw)
+
+
+def fixture_pids(pid_dir) -> list[int]:
+    """Pids of the fixture adapters started with FIXTURE_PID_DIR=pid_dir."""
+    return [int(name) for name in os.listdir(pid_dir)]
+
+
+def assert_gone(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 class TestBinding:
@@ -228,6 +243,24 @@ class TestCacheKey:
             assert not np.array_equal(r.response, a.response)
 
 
+    def test_tables_edited_in_place_miss_the_motf_cache(self, tmp_path, monkeypatch):
+        from idkit.tmm import MaterialTable, _data_dir
+
+        tables = tmp_path / "tables"
+        shutil.copytree(_data_dir(), tables)
+        monkeypatch.setenv("IDKIT_DATA_DIR", str(tables))
+        path = str(tmp_path / "cache.jsonl")
+        binding = SimulatorBinding(kind="internal-motf", problem="motf", cache=True, cache_path=path)
+        pts = sample_points("motf", 1, seed=89)
+        Engine(binding).evaluate_batch(pts)
+        assert Engine(binding).evaluate_batch(pts)[0].meta.get("cache") == "hit"
+        for name in os.listdir(tables):
+            t = MaterialTable.from_text(tables / name)
+            MaterialTable(t.name, t.wavelength_um, 1.1 * t.n, t.k).to_text(tables / name)
+        rec = Engine(binding).evaluate_batch(pts)[0]
+        assert "cache" not in rec.meta
+
+
 class TestEchoAdapter:
     def test_roundtrip_returns_exact_coordinates(self):
         p = sample_points("scf", 1, seed=11)[0]
@@ -333,11 +366,23 @@ class TestAdapterFaults:
         for p, r in zip(pts, recs):
             assert list(r.response) == [float(v) for v in p.values[:3]]
 
-    def test_all_workers_dead_marks_remaining_failed(self):
+    def test_one_worker_replaces_a_crashed_child(self, tmp_path):
+        marker = str(tmp_path / "crashed")
+        pts = sample_points("scf", 4, seed=79)
+        binding = external_binding(cmd=fixture_cmd("crash-once", marker), workers=1)
+        recs = evaluate_batch(binding, pts)
+        assert os.path.exists(marker), "fixture never crashed"
+        assert not any(r.failed for r in recs)
+        for p, r in zip(pts, recs):
+            assert list(r.response) == [float(v) for v in p.values[:3]]
+
+    def test_all_workers_dead_marks_remaining_failed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FIXTURE_PID_DIR", str(tmp_path))
         pts = sample_points("scf", 5, seed=37)
         recs = evaluate_batch(external_binding(cmd=fixture_cmd("exit-now"), workers=2), pts)
         assert len(recs) == 5
         assert all(r.failed for r in recs)
+        assert len(fixture_pids(tmp_path)) <= len(pts) * MAX_ATTEMPTS
 
     def test_unlaunchable_adapter_fails_batch_with_reason(self):
         pts = sample_points("scf", 2, seed=41)
@@ -373,8 +418,67 @@ class TestAdapterFaults:
         binding = external_binding(cmd=fixture_cmd("short-y"), workers=2)
         recs = evaluate_batch(binding, pts, target=np.zeros(3))
         assert all(r.failed for r in recs)
-        pids = [int(name) for name in os.listdir(tmp_path)]
+        pids = fixture_pids(tmp_path)
         assert pids
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
+        assert_gone(pids)
+
+    def test_raster_write_error_fails_each_point(self, monkeypatch):
+        import idkit.shapes
+
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(idkit.shapes, "save_raster", disk_full)
+        pts = sample_points("tpv", 2, seed=83)
+        binding = external_binding(
+            problem="tpv", cmd=fixture_cmd("geometry"), workers=2, send_geometry=True
+        )
+        raised = []
+        old = threading.excepthook
+        threading.excepthook = raised.append
+        try:
+            recs = evaluate_batch(binding, pts)
+        finally:
+            threading.excepthook = old
+        assert raised == []
+        assert len(recs) == 2
+        assert all("disk full" in r.meta["error"] for r in recs)
+
+
+class TestAdapterLifecycle:
+    def test_one_child_serves_every_batch_of_an_engine(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FIXTURE_PID_DIR", str(tmp_path))
+        pts = sample_points("scf", 10, seed=97)
+        with Engine(external_binding(cmd=fixture_cmd("echo"), workers=2)) as engine:
+            for p in pts:
+                (rec,) = engine.evaluate_batch([p])
+                assert list(rec.response) == [float(v) for v in p.values[:3]]
+            pids = fixture_pids(tmp_path)
+            assert len(pids) == 1
+            os.kill(pids[0], 0)  # still running between batches
+        assert_gone(pids)
+        engine.close()  # idempotent
+
+    def test_dropped_engine_kills_its_children(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FIXTURE_PID_DIR", str(tmp_path))
+        engine = Engine(external_binding(cmd=fixture_cmd("echo"), workers=2))
+        recs = engine.evaluate_batch(sample_points("scf", 4, seed=101))
+        assert not any(r.failed for r in recs)
+        pids = fixture_pids(tmp_path)
+        assert pids
+        del engine
+        gc.collect()
+        assert_gone(pids)
+
+    def test_run_experiment_starts_one_child_per_engine(self, tmp_path, monkeypatch):
+        from idkit.harness import ExperimentSpec, run_experiment
+
+        monkeypatch.setenv("FIXTURE_PID_DIR", str(tmp_path))
+        spec = ExperimentSpec(problem="scf", algo="rs", budget=10, seeds=(0,),
+                              adapter_cmd=fixture_cmd("echo"))
+        report = run_experiment(spec)
+        assert report.failed_seeds == ()
+        # one for the iid target, one for the seed's ten one-point batches
+        pids = fixture_pids(tmp_path)
+        assert len(pids) == 2
+        assert_gone(pids)
