@@ -18,6 +18,7 @@ import os
 import sys
 
 from . import harness
+from .engine import Engine, SimulatorBinding
 from .problems import get_space
 from .records import dump_records, load_records
 
@@ -98,9 +99,7 @@ def _fill(ns: argparse.Namespace, **defaults) -> None:
 def _cmd_gen_data(ns) -> int:
     _fill(ns, n=1000, seed=0, workers=1,
           out=f"{ns.problem}_n{ns.n or 1000}_s{ns.seed or 0}.jsonl")
-    binding = harness.default_binding(
-        ns.problem, workers=ns.workers, adapter_cmd=ns.adapter_cmd
-    )
+    binding = SimulatorBinding(ns.problem, workers=ns.workers, adapter_cmd=ns.adapter_cmd)
     records = harness.generate_dataset(ns.problem, ns.n, ns.seed, binding=binding, path=ns.out)
     print(f"wrote {len(records)} records to {ns.out}")
     return 0
@@ -120,7 +119,7 @@ def _cmd_split(ns) -> int:
 def _cmd_targets(ns) -> int:
     _fill(ns, k=5, seed=harness.TARGET_SEED,
           out=f"{ns.problem}_targets.jsonl")
-    binding = harness.default_binding(ns.problem, adapter_cmd=ns.adapter_cmd)
+    binding = SimulatorBinding(ns.problem, adapter_cmd=ns.adapter_cmd)
     records = harness.iid_targets(ns.problem, ns.k, ns.seed, binding=binding)
     dump_records(ns.out, records)
     print(f"wrote {len(records)} targets to {ns.out}")
@@ -194,10 +193,8 @@ def _cmd_eval(ns) -> int:
         target = harness.radiative_cooler_target()
     elif ns.target:
         target = harness.load_target(ns.target, space)
-    binding = harness.default_binding(ns.problem, adapter_cmd=ns.adapter_cmd)
-    from .engine import evaluate_batch
-
-    record = evaluate_batch(binding, [point], target=target)[0]
+    with Engine(SimulatorBinding(ns.problem, adapter_cmd=ns.adapter_cmd)) as engine:
+        record = engine.evaluate_batch([point], target=target)[0]
     if record.failed:
         print(f"error: evaluation failed: {record.meta.get('error')}", file=sys.stderr)
         return 1

@@ -1,24 +1,21 @@
 """Parallel evaluation of design points with caching and external simulators.
 
-Three simulator kinds exist:
+The simulator follows from the problem and the adapter command: with an
+``adapter_cmd``, child processes speak line-delimited JSON over stdin/stdout,
+one per busy worker; without one, motf runs the built-in thin-film solver and
+tpv/scf run a smooth deterministic stand-in (clearly non-physical, exists so
+the pipeline is testable offline; can also sleep per call for throughput
+experiments).  ``SimulatorBinding.kind`` names the choice
+(``external-adapter``, ``internal-motf`` or ``internal-synthetic``).
 
-* ``internal-motf``      the built-in thin-film solver;
-* ``internal-synthetic`` a smooth deterministic stand-in for problems whose
-                         real physics needs an external tool (clearly
-                         non-physical, exists so the pipeline is testable
-                         offline; can also sleep per call for throughput
-                         experiments);
-* ``external-adapter``   child processes speaking line-delimited JSON over
-                         stdin/stdout, one per busy worker.
-
-All three go through one scheduler.  ``evaluate_batch`` splits the batch
-into jobs (points to simulate) and followers (in-batch duplicates of a job,
-and cache hits).  Workers take jobs from a shared queue.  A batch with one
-job, or a binding with one worker, is served in the calling thread;
-otherwise ``min(workers, jobs)`` threads serve the queue.  A reply of the
-wrong length or with a non-finite value fails its point and is never
-cached, and so does a geometry raster that cannot be written.  Followers
-are then read from the cache.
+All three go through one scheduler, ``Engine.evaluate_batch``, the single
+entry point.  It splits the batch into jobs (points to simulate) and
+followers (in-batch duplicates of a job, and cache hits).  Workers take jobs
+from a shared queue.  A batch with one job, or a binding with one worker, is
+served in the calling thread; otherwise ``min(workers, jobs)`` threads serve
+the queue.  A reply of the wrong length or with a non-finite value fails its
+point and is never cached, and so does a geometry raster that cannot be
+written.  Followers are then read from the cache.
 
 Adapter children live as long as the engine: an external worker borrows an
 idle child from the engine, or spawns one when it takes its first job, and
@@ -65,7 +62,7 @@ import numpy as np
 from .problems import get_space, synthetic_response
 from .records import EvalRecord
 from .space import DesignPoint, DesignSpace, mse_loss
-from .tmm import _data_dir, motf_forward
+from .tmm import motf_forward, tables_digest
 
 __all__ = [
     "EngineError",
@@ -74,12 +71,10 @@ __all__ = [
     "SimulatorBinding",
     "cache_key",
     "Engine",
-    "evaluate_batch",
     "adapter_roundtrip",
     "throughput_curve",
 ]
 
-KINDS = ("internal-motf", "internal-synthetic", "external-adapter")
 MAX_ATTEMPTS = 3
 
 
@@ -101,9 +96,12 @@ class _PointFailed(Exception):
 
 @dataclass(frozen=True)
 class SimulatorBinding:
-    """Which simulator to run, how wide, and whether to cache."""
+    """Which simulator to run, how wide, and whether to cache.
 
-    kind: str
+    The simulator is the adapter command when one is given, else the
+    problem's built-in one.
+    """
+
     problem: str
     workers: int = 1
     cache: bool = False
@@ -114,13 +112,14 @@ class SimulatorBinding:
     send_geometry: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown simulator kind {self.kind!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        external = self.kind == "external-adapter"
-        if external != bool(self.adapter_cmd):
-            raise ValueError("adapter_cmd is required for, and only for, external-adapter")
+
+    @property
+    def kind(self) -> str:
+        if self.adapter_cmd:
+            return "external-adapter"
+        return "internal-motf" if self.problem == "motf" else "internal-synthetic"
 
 
 def cache_key(space: DesignSpace, point: DesignPoint, namespace: str) -> str:
@@ -284,19 +283,6 @@ class _AdapterWorker:
         return [float(v) for v in y]
 
 
-def _tables_digest(directory: str) -> str:
-    """Digest of the names and bytes of the material tables in a directory."""
-    try:
-        names = sorted(n for n in os.listdir(directory) if n.endswith(".nk"))
-    except OSError:
-        names = []  # motf_forward fails every point, and failures are not cached
-    h = hashlib.sha256()
-    for name in names:
-        with open(os.path.join(directory, name), "rb") as fh:
-            h.update(f"{name}\0{hashlib.sha256(fh.read()).hexdigest()}\0".encode())
-    return h.hexdigest()
-
-
 def _close_all(workers: list[_AdapterWorker]) -> None:
     while workers:
         workers.pop().close()
@@ -317,7 +303,7 @@ class Engine:
         # problem; the thin-film solver's physics also depends on its tables
         tables = ""
         if binding.cache and binding.kind == "internal-motf":
-            tables = _tables_digest(_data_dir())
+            tables = tables_digest()
         self._namespace = "|".join(
             (binding.problem, binding.kind, binding.adapter_cmd or "", tables)
         )
@@ -351,8 +337,6 @@ class Engine:
 
     def _simulate(self, point: DesignPoint) -> np.ndarray:
         if self.binding.kind == "internal-motf":
-            if self.binding.problem != "motf":
-                raise EngineError("internal-motf only simulates the motf problem")
             return motf_forward(point)
         if self.binding.sleep_s > 0:
             time.sleep(self.binding.sleep_s)
@@ -521,17 +505,6 @@ class Engine:
             rec if rec is not None else _failed(points[i], unserved, start_trial + i, 0.0)
             for i, rec in enumerate(results)
         ]
-
-
-def evaluate_batch(
-    binding: SimulatorBinding,
-    points: Sequence[DesignPoint],
-    target: np.ndarray | None = None,
-    start_trial: int = 0,
-) -> list[EvalRecord]:
-    """One-shot convenience wrapper around a throwaway Engine."""
-    with Engine(binding) as engine:
-        return engine.evaluate_batch(points, target, start_trial)
 
 
 def adapter_roundtrip(

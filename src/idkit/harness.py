@@ -33,7 +33,6 @@ __all__ = [
     "ExperimentReport",
     "ExperimentSpec",
     "HarnessError",
-    "default_binding",
     "emit_report",
     "generate_dataset",
     "iid_targets",
@@ -56,30 +55,8 @@ class HarnessError(RuntimeError):
     """Raised when an experiment cannot produce a trustworthy result."""
 
 
-def default_binding(
-    problem: str,
-    workers: int = 1,
-    cache: bool = False,
-    cache_path: str | None = None,
-    adapter_cmd: str | None = None,
-    timeout: float = 30.0,
-) -> SimulatorBinding:
-    """The natural binding for a problem: its internal simulator, or an adapter."""
-    if adapter_cmd:
-        kind = "external-adapter"
-    elif problem == "motf":
-        kind = "internal-motf"
-    else:
-        kind = "internal-synthetic"
-    return SimulatorBinding(
-        kind=kind,
-        problem=problem,
-        workers=workers,
-        cache=cache,
-        cache_path=cache_path,
-        adapter_cmd=adapter_cmd,
-        timeout=timeout,
-    )
+# an alias of SimulatorBinding, kept for the benchmark (perfbench/workloads.py)
+default_binding = SimulatorBinding
 
 
 # -- datasets ---------------------------------------------------------------------
@@ -107,7 +84,7 @@ def generate_dataset(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     space = get_space(problem)
-    binding = binding or default_binding(problem)
+    binding = binding or SimulatorBinding(problem)
     rng = np.random.default_rng(seed)
     points = [space.sample_uniform(rng) for _ in range(n)]
     with Engine(binding) as engine:
@@ -165,19 +142,11 @@ def iid_targets(
 
     Each returned record holds the generating design in ``point`` and the
     target spectrum in ``response``, so a zero-loss solution provably exists.
+    Any failed evaluation raises :class:`HarnessError` with the reasons.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    space = get_space(problem)
-    binding = binding or default_binding(problem)
-    rng = np.random.default_rng(seed)
-    points = [space.sample_uniform(rng) for _ in range(k)]
-    with Engine(binding) as engine:
-        records = engine.evaluate_batch(points, target=None)
-    bad = [r for r in records if r.failed]
-    if bad:
-        raise HarnessError(f"{len(bad)}/{k} target evaluations failed")
-    return [r.with_zero_time() for r in records]
+    return generate_dataset(problem, k, seed, binding, max_failure_rate=0.0)
 
 
 def radiative_cooler_target(grid: np.ndarray | None = None) -> np.ndarray:
@@ -442,11 +411,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     CSV/SVG renderings.
     """
     space = get_space(spec.problem)
-    binding = default_binding(
-        spec.problem,
-        workers=spec.workers,
-        cache=spec.cache,
-        adapter_cmd=spec.adapter_cmd,
+    binding = SimulatorBinding(
+        spec.problem, workers=spec.workers, cache=spec.cache, adapter_cmd=spec.adapter_cmd
     )
     targets = _resolve_targets(spec, space, binding)
     dataset = load_records(spec.dataset_path) if spec.dataset_path else None

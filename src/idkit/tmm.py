@@ -22,6 +22,7 @@ nanometres and film-stack point thicknesses micrometres.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import warnings
@@ -41,6 +42,7 @@ __all__ = [
     "SpectrumResult",
     "default_grid",
     "load_material",
+    "tables_digest",
     "stack_spectrum",
     "motf_forward",
     "SUBSTRATE_MATERIAL",
@@ -93,20 +95,23 @@ class MaterialTable:
 
     @classmethod
     def from_text(cls, path) -> "MaterialTable":
-        name = os.path.splitext(os.path.basename(str(path)))[0]
+        with open(path, "rb") as fh:
+            return cls._parse(os.path.splitext(os.path.basename(str(path)))[0], fh.read())
+
+    @classmethod
+    def _parse(cls, name: str, raw: bytes) -> "MaterialTable":
         rows = []
-        with open(path, "r", encoding="ascii") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    toks = line[1:].split()
-                    if len(toks) >= 2 and toks[0] == "material":
-                        name = toks[1]
-                    continue
-                lam, n, k = line.split()
-                rows.append((float(lam), float(n), float(k)))
+        for line in raw.decode("ascii").splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                toks = line[1:].split()
+                if len(toks) >= 2 and toks[0] == "material":
+                    name = toks[1]
+                continue
+            lam, n, k = line.split()
+            rows.append((float(lam), float(n), float(k)))
         arr = np.asarray(rows, dtype=float)
         return cls(name, arr[:, 0], arr[:, 1], arr[:, 2])
 
@@ -139,19 +144,50 @@ def _data_dir() -> str:
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "materials")
 
 
+# tables read so far, keyed by (directory, name), with the SHA-256 of the
+# bytes each was parsed from; _NK_CACHE below is derived from them
 _TABLE_CACHE: dict[tuple[str, str], MaterialTable] = {}
+_TABLE_SHA: dict[tuple[str, str], str] = {}
 
 
 def load_material(name: str) -> MaterialTable:
     """Load a bundled table by name (IDKIT_DATA_DIR overrides the bundled set)."""
     d = _data_dir()
     key = (d, name)
-    if key not in _TABLE_CACHE:
+    table = _TABLE_CACHE.get(key)
+    if table is None:
         path = os.path.join(d, f"{name}.nk")
         if not os.path.exists(path):
             raise SpaceError(f"unknown material {name!r}: no table at {path}")
-        _TABLE_CACHE[key] = MaterialTable.from_text(path)
-    return _TABLE_CACHE[key]
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        table = _TABLE_CACHE[key] = MaterialTable._parse(name, raw)
+        _TABLE_SHA[key] = hashlib.sha256(raw).hexdigest()
+    return table
+
+
+def tables_digest() -> str:
+    """SHA-256 of the names and bytes of the ``.nk`` tables in the data directory.
+
+    Tables read from files that have changed since are dropped from the
+    in-process caches, so the next solve reads the tables just digested.
+    """
+    d = _data_dir()
+    try:
+        files = sorted(n for n in os.listdir(d) if n.endswith(".nk"))
+    except OSError:
+        files = []  # motf_forward fails every point, and failures are not cached
+    h = hashlib.sha256()
+    shas = {}
+    for file in files:
+        with open(os.path.join(d, file), "rb") as fh:
+            shas[file[: -len(".nk")]] = sha = hashlib.sha256(fh.read()).hexdigest()
+        h.update(f"{file}\0{sha}\0".encode())
+    if any(k[0] == d and shas.get(k[1]) != sha for k, sha in list(_TABLE_SHA.items())):
+        for cache in (_TABLE_CACHE, _TABLE_SHA, _NK_CACHE):
+            for k in [k for k in list(cache) if k[0] == d]:
+                cache.pop(k, None)
+    return h.hexdigest()
 
 
 LayerSpec = tuple[Union[MaterialTable, complex, float], float]
@@ -248,11 +284,12 @@ _NK_CACHE: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
 def _grid_nk(name: str) -> tuple[np.ndarray, np.ndarray]:
     """(N, K = 2*pi*N/lam) of a material on the default grid, cached per data dir."""
     key = (_data_dir(), name)
-    if key not in _NK_CACHE:
+    nk = _NK_CACHE.get(key)
+    if nk is None:
         lam = default_grid()
         idx = load_material(name).interp(lam)
-        _NK_CACHE[key] = (idx, 2.0 * np.pi * idx / lam)
-    return _NK_CACHE[key]
+        nk = _NK_CACHE[key] = (idx, 2.0 * np.pi * idx / lam)
+    return nk
 
 
 def motf_forward(point: DesignPoint) -> np.ndarray:

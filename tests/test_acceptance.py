@@ -25,7 +25,6 @@ from idkit.engine import (
     Engine,
     SimulatorBinding,
     adapter_roundtrip,
-    evaluate_batch,
     throughput_curve,
 )
 from idkit.optimizers import make_optimizer
@@ -337,10 +336,8 @@ def test_c08_engine_parallel_semantics(tmp_path):
     points = [space.sample_uniform(rng) for _ in range(12)]
 
     # order preservation and bitwise independence from the worker count
-    solo = evaluate_batch(SimulatorBinding(kind="internal-motf", problem="motf"), points)
-    wide = evaluate_batch(
-        SimulatorBinding(kind="internal-motf", problem="motf", workers=8), points
-    )
+    solo = Engine(SimulatorBinding(problem="motf")).evaluate_batch(points)
+    wide = Engine(SimulatorBinding(problem="motf", workers=8)).evaluate_batch(points)
     for i, (a, b) in enumerate(zip(solo, wide)):
         assert a.point.values == points[i].values == b.point.values
         assert a.trial == b.trial == i
@@ -351,14 +348,14 @@ def test_c08_engine_parallel_semantics(tmp_path):
     scf = get_space("scf")
     rng = np.random.default_rng(4)
     sleepers = [scf.sample_uniform(rng) for _ in range(48)]
-    binding = SimulatorBinding(kind="internal-synthetic", problem="scf", sleep_s=0.05)
+    binding = SimulatorBinding(problem="scf", sleep_s=0.05)
     (_, t1), (_, t16) = throughput_curve(binding, sleepers, (1, 16))
     assert t1 / t16 >= 4.0
 
     # exactly-once records under an injected worker kill
     marker = str(tmp_path / "killed.marker")
     cmd = f"{sys.executable} {FIXTURE} crash-once {marker}"
-    binding = SimulatorBinding(kind="external-adapter", problem="scf",
+    binding = SimulatorBinding(problem="scf",
                                adapter_cmd=cmd, workers=3, timeout=15.0)
     rng = np.random.default_rng(5)
     pts = [scf.sample_uniform(rng) for _ in range(12)]
@@ -401,7 +398,7 @@ def test_c10_adapter_conformance():
     scf = get_space("scf")
     rng = np.random.default_rng(6)
     points = [scf.sample_uniform(rng) for _ in range(1000)]
-    binding = SimulatorBinding(kind="external-adapter", problem="scf",
+    binding = SimulatorBinding(problem="scf",
                                adapter_cmd=ECHO_CMD, workers=8, timeout=30.0)
     records = Engine(binding).evaluate_batch(points)
     assert len(records) == 1000
@@ -411,19 +408,19 @@ def test_c10_adapter_conformance():
         assert list(records[i].response_array()) == expect
 
     one = scf.sample_uniform(rng)
-    wrong_id = SimulatorBinding(kind="external-adapter", problem="scf",
+    wrong_id = SimulatorBinding(problem="scf",
                                 adapter_cmd=f"{sys.executable} {FIXTURE} wrong-id",
                                 timeout=10.0)
     with pytest.raises(AdapterProtocolError):
         adapter_roundtrip(wrong_id, one)
 
-    garbage = SimulatorBinding(kind="external-adapter", problem="scf",
+    garbage = SimulatorBinding(problem="scf",
                                adapter_cmd=f"{sys.executable} {FIXTURE} garbage",
                                timeout=10.0)
     with pytest.raises(AdapterProtocolError):
         adapter_roundtrip(garbage, one)
 
-    slow = SimulatorBinding(kind="external-adapter", problem="scf",
+    slow = SimulatorBinding(problem="scf",
                             adapter_cmd=f"{sys.executable} {FIXTURE} sleep 30",
                             timeout=0.5)
     with pytest.raises(AdapterTimeoutError):

@@ -10,6 +10,7 @@ import pytest
 
 from idkit.cli import main
 from idkit.harness import TARGET_SEED, iid_targets
+from idkit.problems import get_space
 from idkit.records import load_records
 from idkit.space import mse_loss
 
@@ -216,6 +217,17 @@ class TestEval:
         out = capsys.readouterr().out.strip()
         ref = mse_loss(rec.response_array(), np.zeros(3))
         assert out == f"loss={ref:.12g}"
+
+    def test_through_an_adapter(self, data_dir, capsys):
+        point = get_space("scf").sample_uniform(np.random.default_rng(3))
+        pt = data_dir / "pt.json"
+        pt.write_text(json.dumps(list(point.values)))
+        rc = main(["eval", "--problem", "scf", "--point", str(pt),
+                   "--adapter-cmd", f"{sys.executable} {FIXTURE} echo"])
+        assert rc == 0
+        # the echo fixture answers x[:3], unlike the stand-in simulator
+        ref = mse_loss(np.array(point.values[:3], dtype=float), np.zeros(3))
+        assert capsys.readouterr().out.strip() == f"loss={ref:.12g}"
 
     def test_invalid_point_exits_1(self, data_dir, capsys):
         pt = data_dir / "pt.json"

@@ -1,6 +1,8 @@
 """Batch evaluation engine: ordering, caching, worker pools, adapters."""
 
 import gc
+import hashlib
+import json
 import os
 import shutil
 import sys
@@ -19,12 +21,11 @@ from idkit.engine import (
     SimulatorBinding,
     adapter_roundtrip,
     cache_key,
-    evaluate_batch,
     throughput_curve,
 )
 from idkit.problems import get_space
 from idkit.space import DesignPoint, mse_loss
-from idkit.tmm import motf_forward
+from idkit.tmm import _data_dir, motf_forward
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixture_adapter.py")
 ECHO_CMD = f"{sys.executable} -m idkit.adapters"
@@ -42,7 +43,7 @@ def sample_points(problem, n, seed=0):
 
 def external_binding(problem="scf", cmd=ECHO_CMD, **kw):
     kw.setdefault("timeout", 20.0)
-    return SimulatorBinding(kind="external-adapter", problem=problem, adapter_cmd=cmd, **kw)
+    return SimulatorBinding(problem=problem, adapter_cmd=cmd, **kw)
 
 
 def fixture_pids(pid_dir) -> list[int]:
@@ -57,27 +58,49 @@ def assert_gone(pids) -> None:
 
 
 class TestBinding:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            SimulatorBinding(kind="magic", problem="motf")
-
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            SimulatorBinding(kind="internal-motf", problem="motf", workers=0)
+            SimulatorBinding(problem="motf", workers=0)
 
-    def test_adapter_cmd_iff_external(self):
-        with pytest.raises(ValueError):
-            SimulatorBinding(kind="external-adapter", problem="scf")
-        with pytest.raises(ValueError):
-            SimulatorBinding(kind="internal-motf", problem="motf", adapter_cmd="cat")
+    def test_simulator_follows_problem_and_adapter(self):
+        assert SimulatorBinding("motf").kind == "internal-motf"
+        assert SimulatorBinding("scf").kind == "internal-synthetic"
+        assert SimulatorBinding("tpv").kind == "internal-synthetic"
+        for problem in ("motf", "tpv", "scf"):
+            assert SimulatorBinding(problem, adapter_cmd=ECHO_CMD).kind == "external-adapter"
+
+    def test_cache_lines_of_earlier_versions_still_hit(self, tmp_path):
+        # keys written when kind was a field: problem|kind|adapter_cmd|tables
+        path = str(tmp_path / "cache.jsonl")
+        tables = hashlib.sha256()
+        for name in sorted(n for n in os.listdir(_data_dir()) if n.endswith(".nk")):
+            with open(os.path.join(_data_dir(), name), "rb") as fh:
+                tables.update(f"{name}\0{hashlib.sha256(fh.read()).hexdigest()}\0".encode())
+        scf, motf = sample_points("scf", 1, seed=103)[0], sample_points("motf", 1, seed=103)[0]
+        cases = [
+            (SimulatorBinding("scf", cache=True, cache_path=path), scf,
+             "scf|internal-synthetic||", [1.0, 2.0, 3.0]),
+            (external_binding(cache=True, cache_path=path), scf,
+             f"scf|external-adapter|{ECHO_CMD}|", [4.0, 5.0, 6.0]),
+            (SimulatorBinding("motf", cache=True, cache_path=path), motf,
+             f"motf|internal-motf||{tables.hexdigest()}", [0.5] * 2001),
+        ]
+        with open(path, "w", encoding="utf-8") as fh:
+            for binding, point, namespace, y in cases:
+                key = cache_key(get_space(binding.problem), point, namespace)
+                fh.write(json.dumps({"key": key, "y": y}) + "\n")
+        for binding, point, _, y in cases:
+            (rec,) = Engine(binding).evaluate_batch([point])
+            assert rec.meta.get("cache") == "hit"
+            assert list(rec.response) == y
 
 
 class TestInternal:
     def test_results_in_input_order_and_match_direct_sim(self):
         pts = sample_points("motf", 8)
         target = np.linspace(0.0, 1.0, 2001)
-        binding = SimulatorBinding(kind="internal-motf", problem="motf", workers=4)
-        recs = evaluate_batch(binding, pts, target=target)
+        binding = SimulatorBinding(problem="motf", workers=4)
+        recs = Engine(binding).evaluate_batch(pts, target=target)
         assert [r.trial for r in recs] == list(range(8))
         for p, r in zip(pts, recs):
             y = motf_forward(p)
@@ -90,8 +113,8 @@ class TestInternal:
         pts = sample_points("motf", 6, seed=3)
         runs = []
         for w in (1, 8):
-            binding = SimulatorBinding(kind="internal-motf", problem="motf", workers=w)
-            runs.append(evaluate_batch(binding, pts))
+            binding = SimulatorBinding(problem="motf", workers=w)
+            runs.append(Engine(binding).evaluate_batch(pts))
         for a, b in zip(*runs):
             assert np.array_equal(a.response, b.response)
             assert a.loss == b.loss
@@ -99,7 +122,7 @@ class TestInternal:
     def test_duplicate_point_is_bitwise_cache_hit(self):
         pts = sample_points("motf", 3, seed=1)
         batch = pts + [pts[1]]
-        binding = SimulatorBinding(kind="internal-motf", problem="motf", workers=4, cache=True)
+        binding = SimulatorBinding(problem="motf", workers=4, cache=True)
         recs = Engine(binding).evaluate_batch(batch)
         assert recs[3].meta.get("cache") == "hit"
         assert np.array_equal(recs[3].response, recs[1].response)
@@ -107,8 +130,8 @@ class TestInternal:
 
     def test_without_cache_duplicates_are_simulated(self):
         pts = sample_points("scf", 2, seed=2)
-        binding = SimulatorBinding(kind="internal-synthetic", problem="scf", workers=2)
-        recs = evaluate_batch(binding, pts + [pts[0]])
+        binding = SimulatorBinding(problem="scf", workers=2)
+        recs = Engine(binding).evaluate_batch(pts + [pts[0]])
         assert all("cache" not in r.meta for r in recs)
         assert np.array_equal(recs[0].response, recs[2].response)
 
@@ -116,7 +139,7 @@ class TestInternal:
         path = str(tmp_path / "cache.jsonl")
         pts = sample_points("scf", 4, seed=5)
         binding = SimulatorBinding(
-            kind="internal-synthetic", problem="scf", workers=2, cache=True, cache_path=path
+            problem="scf", workers=2, cache=True, cache_path=path
         )
         first = Engine(binding).evaluate_batch(pts)
         assert os.path.getsize(path) > 0
@@ -130,7 +153,7 @@ class TestInternal:
         pts = sample_points("scf", 60, seed=71)
         batch = pts + pts[::2]
         binding = SimulatorBinding(
-            kind="internal-synthetic", problem="scf", workers=16, cache=True, cache_path=str(path)
+            problem="scf", workers=16, cache=True, cache_path=str(path)
         )
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -147,7 +170,7 @@ class TestInternal:
         path = tmp_path / "cache.jsonl"
         pts = sample_points("scf", 3, seed=43)
         binding = SimulatorBinding(
-            kind="internal-synthetic", problem="scf", cache=True, cache_path=str(path)
+            problem="scf", cache=True, cache_path=str(path)
         )
         Engine(binding).evaluate_batch(pts)
         lines = path.read_text().splitlines()
@@ -164,7 +187,7 @@ class TestInternal:
         import idkit.engine
 
         monkeypatch.setattr(idkit.engine, "synthetic_response", lambda p, problem: np.full(3, np.nan))
-        binding = SimulatorBinding(kind="internal-synthetic", problem="scf", cache=True)
+        binding = SimulatorBinding(problem="scf", cache=True)
         recs = Engine(binding).evaluate_batch(sample_points("scf", 2, seed=53))
         assert all(r.meta["error"] == "non-finite response" for r in recs)
 
@@ -172,15 +195,15 @@ class TestInternal:
         space = get_space("scf")
         good = sample_points("scf", 1)[0]
         bad = DesignPoint((-1.0,) + good.values[1:])
-        binding = SimulatorBinding(kind="internal-synthetic", problem="scf")
+        binding = SimulatorBinding(problem="scf")
         with pytest.raises(EngineError):
-            evaluate_batch(binding, [bad])
+            Engine(binding).evaluate_batch([bad])
         assert space.validate(good).ok
 
     def test_sleep_simulator_scales_with_workers(self):
         pts = sample_points("scf", 32, seed=7)
         binding = SimulatorBinding(
-            kind="internal-synthetic", problem="scf", workers=1, sleep_s=0.05
+            problem="scf", workers=1, sleep_s=0.05
         )
         curve = throughput_curve(binding, pts, [1, 8])
         assert [w for w, _ in curve] == [1, 8]
@@ -214,7 +237,7 @@ class TestCacheKey:
         path = str(tmp_path / "cache.jsonl")
         pts = sample_points("scf", 3, seed=47)
         internal = SimulatorBinding(
-            kind="internal-synthetic", problem="scf", cache=True, cache_path=path
+            problem="scf", cache=True, cache_path=path
         )
         Engine(internal).evaluate_batch(pts)
         recs = Engine(external_binding(cache=True, cache_path=path)).evaluate_batch(pts)
@@ -232,7 +255,7 @@ class TestCacheKey:
             t = MaterialTable.from_text(os.path.join(bundled, name))
             MaterialTable(t.name, t.wavelength_um, 1.1 * t.n, t.k).to_text(override / name)
         path = str(tmp_path / "cache.jsonl")
-        binding = SimulatorBinding(kind="internal-motf", problem="motf", cache=True, cache_path=path)
+        binding = SimulatorBinding(problem="motf", cache=True, cache_path=path)
         pts = sample_points("motf", 2, seed=59)
         first = Engine(binding).evaluate_batch(pts)
         monkeypatch.setenv("IDKIT_DATA_DIR", str(override))
@@ -250,15 +273,17 @@ class TestCacheKey:
         shutil.copytree(_data_dir(), tables)
         monkeypatch.setenv("IDKIT_DATA_DIR", str(tables))
         path = str(tmp_path / "cache.jsonl")
-        binding = SimulatorBinding(kind="internal-motf", problem="motf", cache=True, cache_path=path)
+        binding = SimulatorBinding(problem="motf", cache=True, cache_path=path)
         pts = sample_points("motf", 1, seed=89)
-        Engine(binding).evaluate_batch(pts)
+        first = Engine(binding).evaluate_batch(pts)[0]
         assert Engine(binding).evaluate_batch(pts)[0].meta.get("cache") == "hit"
         for name in os.listdir(tables):
             t = MaterialTable.from_text(tables / name)
             MaterialTable(t.name, t.wavelength_um, 1.1 * t.n, t.k).to_text(tables / name)
         rec = Engine(binding).evaluate_batch(pts)[0]
         assert "cache" not in rec.meta
+        # simulated with the edited tables, not with those read before the edit
+        assert not np.array_equal(rec.response, first.response)
 
 
 class TestEchoAdapter:
@@ -270,7 +295,7 @@ class TestEchoAdapter:
 
     def test_batch_of_sixty_zero_failures(self):
         pts = sample_points("scf", 60, seed=13)
-        recs = evaluate_batch(external_binding(workers=4), pts)
+        recs = Engine(external_binding(workers=4)).evaluate_batch(pts)
         assert len(recs) == 60
         assert all(not r.failed for r in recs)
         for p, r in zip(pts, recs):
@@ -330,7 +355,8 @@ class TestAdapterFaults:
 
     def test_error_response_fails_the_point_not_the_batch(self):
         pts = sample_points("scf", 4, seed=29)
-        recs = evaluate_batch(external_binding(cmd=fixture_cmd("error-always"), workers=2), pts)
+        binding = external_binding(cmd=fixture_cmd("error-always"), workers=2)
+        recs = Engine(binding).evaluate_batch(pts)
         assert len(recs) == 4
         assert all(r.failed for r in recs)
         assert all("fixture says no" in r.meta["error"] for r in recs)
@@ -370,7 +396,7 @@ class TestAdapterFaults:
         marker = str(tmp_path / "crashed")
         pts = sample_points("scf", 4, seed=79)
         binding = external_binding(cmd=fixture_cmd("crash-once", marker), workers=1)
-        recs = evaluate_batch(binding, pts)
+        recs = Engine(binding).evaluate_batch(pts)
         assert os.path.exists(marker), "fixture never crashed"
         assert not any(r.failed for r in recs)
         for p, r in zip(pts, recs):
@@ -379,14 +405,16 @@ class TestAdapterFaults:
     def test_all_workers_dead_marks_remaining_failed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FIXTURE_PID_DIR", str(tmp_path))
         pts = sample_points("scf", 5, seed=37)
-        recs = evaluate_batch(external_binding(cmd=fixture_cmd("exit-now"), workers=2), pts)
+        binding = external_binding(cmd=fixture_cmd("exit-now"), workers=2)
+        recs = Engine(binding).evaluate_batch(pts)
         assert len(recs) == 5
         assert all(r.failed for r in recs)
         assert len(fixture_pids(tmp_path)) <= len(pts) * MAX_ATTEMPTS
 
     def test_unlaunchable_adapter_fails_batch_with_reason(self):
         pts = sample_points("scf", 2, seed=41)
-        recs = evaluate_batch(external_binding(cmd="/does/not/exist-xyz", workers=2), pts)
+        binding = external_binding(cmd="/does/not/exist-xyz", workers=2)
+        recs = Engine(binding).evaluate_batch(pts)
         assert all(r.failed for r in recs)
         assert all("adapter" in r.meta["error"] for r in recs)
 
@@ -416,7 +444,8 @@ class TestAdapterFaults:
         monkeypatch.setenv("FIXTURE_PID_DIR", str(tmp_path))
         pts = sample_points("scf", 4, seed=67)
         binding = external_binding(cmd=fixture_cmd("short-y"), workers=2)
-        recs = evaluate_batch(binding, pts, target=np.zeros(3))
+        with Engine(binding) as engine:
+            recs = engine.evaluate_batch(pts, target=np.zeros(3))
         assert all(r.failed for r in recs)
         pids = fixture_pids(tmp_path)
         assert pids
@@ -437,7 +466,7 @@ class TestAdapterFaults:
         old = threading.excepthook
         threading.excepthook = raised.append
         try:
-            recs = evaluate_batch(binding, pts)
+            recs = Engine(binding).evaluate_batch(pts)
         finally:
             threading.excepthook = old
         assert raised == []

@@ -31,9 +31,9 @@ class TestGenerateDataset:
         p1, p2, p4 = (str(tmp_path / f"ds{w}.jsonl") for w in (1, 2, 4))
         H.generate_dataset("scf", 50, seed=9, path=p1)
         H.generate_dataset("scf", 50, seed=9, path=p2,
-                           binding=H.default_binding("scf", workers=4))
+                           binding=SimulatorBinding("scf", workers=4))
         H.generate_dataset("scf", 50, seed=9, path=p4,
-                           binding=H.default_binding("scf", workers=8))
+                           binding=SimulatorBinding("scf", workers=8))
         b = open(p1, "rb").read()
         assert open(p2, "rb").read() == b
         assert open(p4, "rb").read() == b
@@ -55,16 +55,14 @@ class TestGenerateDataset:
 
     def test_failure_rate_abort(self):
         cmd = f"{sys.executable} {FIXTURE} error-always"
-        binding = SimulatorBinding(kind="external-adapter", problem="scf",
-                                   adapter_cmd=cmd, timeout=10.0)
+        binding = SimulatorBinding(problem="scf", adapter_cmd=cmd, timeout=10.0)
         with pytest.raises(H.HarnessError, match="failed"):
             H.generate_dataset("scf", 12, seed=0, binding=binding)
 
     def test_small_failure_rate_tolerated(self):
         # all succeed: rate 0 <= 1%
         cmd = f"{sys.executable} -m idkit.adapters"
-        binding = SimulatorBinding(kind="external-adapter", problem="scf",
-                                   adapter_cmd=cmd, timeout=10.0)
+        binding = SimulatorBinding(problem="scf", adapter_cmd=cmd, timeout=10.0)
         recs = H.generate_dataset("scf", 8, seed=0, binding=binding)
         assert sum(r.failed for r in recs) == 0
 
@@ -122,6 +120,12 @@ class TestTargets:
 
     def test_default_k_is_five(self):
         assert len(H.iid_targets("scf")) == 5
+
+    def test_failed_target_names_the_reason(self):
+        cmd = f"{sys.executable} {FIXTURE} error-always"
+        binding = SimulatorBinding(problem="scf", adapter_cmd=cmd, timeout=10.0)
+        with pytest.raises(H.HarnessError, match="2/2 .*failed.*fixture says no"):
+            H.iid_targets("scf", k=2, binding=binding)
 
     def test_cooler_target_band_structure(self):
         lam = default_grid()
