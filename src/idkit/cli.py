@@ -27,24 +27,8 @@ __all__ = ["main", "build_parser"]
 _PROBLEMS = ("motf", "tpv", "scf")
 
 
-# config values arrive as strings; each flag knows how to read one
-_COERCE = {
-    "n": int,
-    "k": int,
-    "budget": int,
-    "seeds": int,
-    "seed": int,
-    "workers": int,
-    "warm_start_k": int,
-    "ask_batch": int,
-    "epochs": int,
-    "lr": float,
-    "timeout": float,
-    "cache": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-}
-
 # never filled from config files
-_NOT_CONFIG = {"command", "func", "config", "set", "report"}
+_NOT_CONFIG = {"command", "func", "config", "set", "report", "help"}
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -62,7 +46,14 @@ def _parse_config_line(line: str, origin: str) -> tuple[str, str] | None:
     return key.strip().replace("-", "_"), value.strip()
 
 
-def _apply_config(ns: argparse.Namespace, known_keys: set[str]) -> None:
+def _read_config_value(action: argparse.Action, value: str):
+    """A config string read as its flag reads it; a flag taking no value reads on/off."""
+    if action.nargs == 0:
+        return value.strip().lower() in ("1", "true", "yes", "on")
+    return (action.type or str)(value)
+
+
+def _apply_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Fill flags the command line left unset, file first, then --set, last wins."""
     pairs: list[tuple[str, str]] = []
     if getattr(ns, "config", None):
@@ -76,15 +67,18 @@ def _apply_config(ns: argparse.Namespace, known_keys: set[str]) -> None:
         if parsed is None:
             raise _usage_error(f"malformed --set {item!r}")
         pairs.append(parsed)
+    commands = _subcommands(parser)
+    known_keys = {a.dest for p in commands.values() for a in p._actions}
     merged: dict[str, str] = {}
     for key, value in pairs:
         if key not in known_keys or key in _NOT_CONFIG:
             raise _usage_error(f"unknown config key {key!r}")
         merged[key] = value
+    actions = {a.dest: a for a in commands[ns.command]._actions}
     for key, value in merged.items():
-        if not hasattr(ns, key) or getattr(ns, key) is not None:
+        if key not in actions or getattr(ns, key) is not None:
             continue  # not for this subcommand, or explicitly set on the command line
-        setattr(ns, key, _COERCE.get(key, str)(value))
+        setattr(ns, key, _read_config_value(actions[key], value))
 
 
 def _fill(ns: argparse.Namespace, **defaults) -> None:
@@ -312,18 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _known_keys(parser: argparse.ArgumentParser) -> set[str]:
-    keys: set[str] = set()
-    for action in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-        keys.update(a.dest for a in action._actions)
-    return keys - {"help"}
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return parser._subparsers._group_actions[0].choices  # type: ignore[union-attr]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        _apply_config(ns, _known_keys(parser))
+        _apply_config(ns, parser)
         return ns.func(ns)
     except SystemExit:
         raise

@@ -125,12 +125,13 @@ class SimulatorBinding:
 def cache_key(space: DesignSpace, point: DesignPoint, namespace: str) -> str:
     """Digest of a namespace (the problem id, at least) and the canonical quantized point."""
     u = space.normalize(point)
+    idx = iter(space.choice_indices(u).tolist())
     parts = [namespace]
     for i, kind in enumerate(space.unit_kinds()):
         if kind is None:
             parts.append(f"f{int(round(u[i] * 1e9))}")
         else:
-            parts.append(f"c{min(int(u[i] * kind), kind - 1)}")
+            parts.append(f"c{next(idx)}")
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..space import DesignSpace
 from .base import OptimizerSession, ProtocolError, warm_start
-from .bo import BayesOpt, GaussianProcess, embed_units
+from .bo import BayesOpt, GaussianProcess
 from .simple import OnePlusOneES, RandomSearch
 from .sracos import Sracos
 from .tpe import TreeParzen
@@ -27,7 +27,6 @@ __all__ = [
     "BayesOpt",
     "Sracos",
     "GaussianProcess",
-    "embed_units",
 ]
 
 _REGISTRY: dict[str, type[OptimizerSession]] = {

@@ -1,10 +1,11 @@
 """Gaussian-process optimizer with expected-improvement acquisition.
 
 The GP uses a squared-exponential kernel with one lengthscale per feature,
-where features are the unit-box coordinates with categorical slots expanded
-to one-hot blocks.  Targets are standardized internally; the noise term is
-a fixed jitter on the standardized scale, small enough that the posterior
-mean interpolates the data.  Lengthscales and amplitude are refit by
+where features are the space's one feature map,
+:meth:`~idkit.space.DesignSpace.encode_units`: unit-box coordinates with
+categorical slots expanded to one-hot blocks.  Targets are standardized
+internally; the noise term is a fixed jitter on the standardized scale,
+small enough that the posterior mean interpolates the data.  Lengthscales and amplitude are refit by
 marginal-likelihood ascent on a thinning schedule as history grows.
 
 Strictly serial: a second ask with proposals outstanding is a protocol
@@ -22,33 +23,12 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtr
 
 from ..records import EvalRecord
-from ..space import DesignPoint, DesignSpace
+from ..space import DesignPoint
 from .base import OptimizerSession
 
-__all__ = ["GaussianProcess", "BayesOpt", "embed_units"]
+__all__ = ["GaussianProcess", "BayesOpt"]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
-def embed_units(space: DesignSpace, units: np.ndarray) -> np.ndarray:
-    """Map unit-box rows (n, dim) to kernel features (n, F), one-hot blocks first.
-
-    Feature layout matches encode_onehot: categorical blocks in parameter
-    order, then the continuous unit coordinates.
-    """
-    units = np.atleast_2d(np.asarray(units, dtype=float))
-    blocks = []
-    cont_cols = []
-    for d, k in enumerate(space.unit_kinds()):
-        if k is None:
-            cont_cols.append(units[:, d])
-        else:
-            idx = np.minimum((units[:, d] * k).astype(int), k - 1)
-            oh = np.zeros((units.shape[0], k))
-            oh[np.arange(units.shape[0]), idx] = 1.0
-            blocks.append(oh)
-    blocks.append(np.column_stack(cont_cols) if cont_cols else np.empty((units.shape[0], 0)))
-    return np.concatenate(blocks, axis=1)
 
 
 class GaussianProcess:
@@ -193,7 +173,7 @@ class BayesOpt(OptimizerSession):
         ys = np.array([l for _, l in data])
         finite = np.isfinite(ys)
         us, ys = us[finite], ys[finite]
-        self.gp.set_data(embed_units(self.space, us), ys)
+        self.gp.set_data(self.space.encode_units(us), ys)
         n = us.shape[0]
         if n <= int(self.config["refit_until"]) or n >= math.ceil(
             self._last_refit_n * float(self.config["refit_growth"])
@@ -209,7 +189,7 @@ class BayesOpt(OptimizerSession):
         """Posterior mean/variance of the loss at a point (fits if needed)."""
         if self._dirty:
             self._sync()
-        mu, var = self.gp.posterior_raw(embed_units(self.space, self.space.normalize(point)))
+        mu, var = self.gp.posterior_raw(self.space.encode_units(self.space.normalize(point)))
         return float(mu[0]), float(var[0])
 
     # -- acquisition -------------------------------------------------------------
@@ -219,7 +199,7 @@ class BayesOpt(OptimizerSession):
         xi = float(self.config["xi"])
         d = self.space.dim
         raw = self.rng.random((int(self.config["n_raw"]), d))
-        mu, var = self.gp.posterior(embed_units(self.space, raw))
+        mu, var = self.gp.posterior(self.space.encode_units(raw))
         ei = _expected_improvement(mu, var, best, xi)
         u0 = raw[int(np.argmax(ei))]
         cont = self._cont
@@ -229,7 +209,7 @@ class BayesOpt(OptimizerSession):
         def neg_ei(z: np.ndarray) -> float:
             u = u0.copy()
             u[cont] = z
-            m, v = self.gp.posterior(embed_units(self.space, u))
+            m, v = self.gp.posterior(self.space.encode_units(u))
             return -float(_expected_improvement(m, v, best, xi)[0])
 
         res = optimize.minimize(
@@ -255,7 +235,7 @@ class BayesOpt(OptimizerSession):
             self._sync(extra=fantasy)
             u = self._maximize_ei()
             out.append(self.space.denormalize(u))
-            mu, _ = self.gp.posterior_raw(embed_units(self.space, u))
+            mu, _ = self.gp.posterior_raw(self.space.encode_units(u))
             fantasy.append((u, float(mu[0])))
         if fantasy:
             self._dirty = True

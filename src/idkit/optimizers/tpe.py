@@ -130,13 +130,13 @@ class TreeParzen(OptimizerSession):
     def _estimators(self, us: np.ndarray) -> list:
         out = []
         bw_floor = float(self.config["bw_floor"])
+        us = us.reshape(-1, self.space.dim)
+        idx = iter(self.space.choice_indices(us).T)
         for d, k in enumerate(self._kinds):
-            col = us[:, d] if us.size else np.empty(0)
             if k is None:
-                out.append(_ContParzen(col, bw_floor))
+                out.append(_ContParzen(us[:, d], bw_floor))
             else:
-                idx = np.minimum((col * k).astype(int), k - 1) if col.size else np.empty(0)
-                out.append(_CatParzen(idx, k))
+                out.append(_CatParzen(next(idx), k))
         return out
 
     def _propose_batch(self, n: int) -> list[DesignPoint]:

@@ -22,8 +22,6 @@ __all__ = [
     "EvalRecord",
     "dump_records",
     "load_records",
-    "append_record",
-    "best_record",
 ]
 
 
@@ -78,11 +76,6 @@ def dump_records(path, records: Iterable[EvalRecord]) -> None:
             fh.write(r.to_json() + "\n")
 
 
-def append_record(path, record: EvalRecord) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(record.to_json() + "\n")
-
-
 def load_records(path) -> list[EvalRecord]:
     out: list[EvalRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -91,8 +84,3 @@ def load_records(path) -> list[EvalRecord]:
             if line:
                 out.append(EvalRecord.from_json(line))
     return out
-
-
-def best_record(records: Sequence[EvalRecord]) -> EvalRecord:
-    """Lowest loss; ties break toward the earliest trial."""
-    return min(records, key=lambda r: (r.loss, r.trial))

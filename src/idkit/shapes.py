@@ -28,7 +28,6 @@ __all__ = [
     "GeometryError",
     "SUBCELL_ANGLES",
     "ControlPolygon",
-    "knot_shrink_factor",
     "bspline_closed",
     "subcell_shape",
     "supercell_polygons",
@@ -73,19 +72,6 @@ class ControlPolygon:
         for r in self.radii:
             if not (MIN_RADIUS_NM - tol <= r <= hi + tol):
                 raise GeometryError(f"radius {r} outside [{MIN_RADIUS_NM}, {hi}]")
-
-    @property
-    def angles(self) -> tuple[float, float, float, float]:
-        return SUBCELL_ANGLES
-
-
-def knot_shrink_factor(m: int) -> float:
-    """Radius factor of B-spline knot points for a regular m-gon of controls.
-
-    The knot point is (P_prev + 4 P + P_next)/6, so controls on a circle give
-    knots at radius (4 + 2 cos(2 pi / m)) / 6 times the control radius.
-    """
-    return (4.0 + 2.0 * math.cos(2.0 * math.pi / m)) / 6.0
 
 
 def bspline_closed(points: Sequence[Sequence[float]], samples: int) -> np.ndarray:

@@ -159,6 +159,16 @@ class DesignSpace:
         self.params = params
         self.response_dim = int(response_dim)
         self._index = index
+        # one-hot layout: categorical blocks in parameter order, then continuous slots
+        cat = [i for i, p in enumerate(params) if isinstance(p.kind, Categorical)]
+        cont = [i for i, p in enumerate(params) if not isinstance(p.kind, Categorical)]
+        ks = [len(params[i].kind.choices) for i in cat]
+        offs = np.cumsum([0] + ks)
+        self._cat_cols = np.array(cat, dtype=int)
+        self._cat_ks = np.array(ks, dtype=int)
+        self._cat_offs = offs[:-1]
+        self._cont_cols = np.array(cont, dtype=int)
+        self._cont_offs = offs[-1] + np.arange(len(cont))
 
     # -- basic shape ---------------------------------------------------------
 
@@ -168,10 +178,7 @@ class DesignSpace:
 
     @property
     def onehot_length(self) -> int:
-        n = 0
-        for p in self.params:
-            n += len(p.kind.choices) if isinstance(p.kind, Categorical) else 1
-        return n
+        return int(self._cat_ks.sum()) + len(self._cont_cols)
 
     def unit_kinds(self) -> list:
         """Per-dimension unit-box metadata: None for continuous, k for a k-way categorical."""
@@ -259,72 +266,69 @@ class DesignSpace:
                 u[i] = (float(vals[i]) - lo) / (hi - lo)
         return u
 
-    def denormalize(self, u: Sequence[float]) -> DesignPoint:
-        return self.denormalize_info(u)[0]
+    def choice_indices(self, units) -> np.ndarray:
+        """Choice index of every categorical slot: rows (..., dim) -> (..., n_categorical).
 
-    def denormalize_info(self, u: Sequence[float]) -> tuple[DesignPoint, bool]:
+        Choice i of a k-way categorical is stored as i/k and owns the bin
+        [i/k, (i+1)/k).  Truncating u*k can land one bin low (for k = 22,
+        int(15/22 * 22) is 14), so the index is raised when u reaches the next
+        edge as that edge is stored; i/k therefore always decodes to i.
+        """
+        u = np.asarray(units, dtype=float)[..., self._cat_cols]
+        k = self._cat_ks
+        i = np.minimum((u * k).astype(int), k - 1)
+        return i + ((i + 1 < k) & (u >= (i + 1) / k))
+
+    def denormalize(self, u: Sequence[float]) -> DesignPoint:
         """Inverse of :meth:`normalize`; out-of-range coordinates are clamped.
 
-        Returns (point, clamped) where ``clamped`` flags whether any coordinate
-        fell outside [0,1].  Conditional parameters resolve their upper bound
-        against already-decoded earlier coordinates, so the output always
-        validates.
+        Conditional parameters resolve their upper bound against
+        already-decoded earlier coordinates, so the output always validates.
         """
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise SpaceError(f"unit vector must have shape ({self.dim},), got {u.shape}")
-        clamped = bool(np.any(u < 0.0) or np.any(u > 1.0))
         u = np.clip(u, 0.0, 1.0)
+        idx = iter(self.choice_indices(u).tolist())
         vals: list = []
         for i, p in enumerate(self.params):
             k = p.kind
             if isinstance(k, Categorical):
-                n = len(k.choices)
-                vals.append(k.choices[min(int(u[i] * n), n - 1)])
+                vals.append(k.choices[next(idx)])
             else:
                 lo, hi = self._interval(i, vals)
                 vals.append(lo + float(u[i]) * (hi - lo))
-        return DesignPoint(tuple(vals)), clamped
+        return DesignPoint(tuple(vals))
 
     # -- one-hot feature codec -------------------------------------------------
 
+    def encode_units(self, units) -> np.ndarray:
+        """One-hot feature rows (n, onehot_length) of unit-box rows (n, dim).
+
+        The toolkit's one feature map (BO kernel inputs, surrogate inputs): a
+        block per categorical in parameter order with a 1 at the chosen index,
+        then the continuous unit coordinates; see :meth:`onehot_layout`.
+        """
+        u = np.atleast_2d(np.asarray(units, dtype=float))
+        if u.ndim != 2 or u.shape[1] != self.dim:
+            raise SpaceError(f"unit rows must have shape (n, {self.dim}), got {u.shape}")
+        out = np.zeros((u.shape[0], self.onehot_length))
+        out[np.arange(u.shape[0])[:, None], self._cat_offs + self.choice_indices(u)] = 1.0
+        out[:, self._cont_offs] = u[:, self._cont_cols]
+        return out
+
     def encode_onehot(self, point: DesignPoint) -> np.ndarray:
-        """Feature vector: one-hot blocks for categoricals (declared choice order),
-        then all continuous coordinates in normalized [0,1] form."""
-        if len(point) != self.dim:
-            raise SpaceError("point length mismatch")
-        vals = point.values
-        blocks: list[np.ndarray] = []
-        cont: list[float] = []
-        for i, p in enumerate(self.params):
-            k = p.kind
-            if isinstance(k, Categorical):
-                b = np.zeros(len(k.choices))
-                b[k.choices.index(vals[i])] = 1.0
-                blocks.append(b)
-            else:
-                lo, hi = self._interval(i, vals)
-                cont.append((float(vals[i]) - lo) / (hi - lo))
-        blocks.append(np.asarray(cont))
-        return np.concatenate(blocks)
+        """Feature vector of one point: :meth:`encode_units` of its unit vector."""
+        return self.encode_units(self.normalize(point))[0]
 
     def onehot_layout(self) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
-        """Slot layout of :meth:`encode_onehot`.
+        """Slot layout of :meth:`encode_units`.
 
         Returns (blocks, cont) where blocks is a list of
         (param_index, offset, n_choices) and cont a list of (param_index, offset).
         """
-        blocks: list[tuple[int, int, int]] = []
-        cont: list[tuple[int, int]] = []
-        off = 0
-        for i, p in enumerate(self.params):
-            if isinstance(p.kind, Categorical):
-                blocks.append((i, off, len(p.kind.choices)))
-                off += len(p.kind.choices)
-        for i, p in enumerate(self.params):
-            if not isinstance(p.kind, Categorical):
-                cont.append((i, off))
-                off += 1
+        blocks = list(zip(self._cat_cols.tolist(), self._cat_offs.tolist(), self._cat_ks.tolist()))
+        cont = list(zip(self._cont_cols.tolist(), self._cont_offs.tolist()))
         return blocks, cont
 
     def decode_onehot(self, vec: Sequence[float]) -> DesignPoint:

@@ -12,6 +12,10 @@ gradients, and on top of those three inverse-design strategies:
                       surrogate, with categorical one-hot blocks relaxed to
                       the probability simplex and snapped to argmax at the end.
 
+Designs enter the networks as :meth:`~idkit.space.DesignSpace.encode_units`
+features, the one feature map the toolkit has (Bayesian optimization's GP
+uses it too).
+
 Checkpoints use a little binary layout (magic, widths, row-major float64
 weight blocks, little endian) plus a JSON metadata sidecar.
 """
@@ -104,13 +108,7 @@ class DenseNet:
         return DenseNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(x, dtype=float))
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w + b
-            if i != last:
-                a = np.maximum(a, 0.0)
-        return a
+        return self._forward_cache(x)[0]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
@@ -153,8 +151,10 @@ def grad_input(model: DenseNet, x: np.ndarray, y_target: np.ndarray) -> np.ndarr
 def encode_dataset(
     space: DesignSpace, records: Sequence[EvalRecord]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(encoded designs, responses) matrices from evaluation records."""
-    x = np.array([space.encode_onehot(r.point) for r in records])
+    """(encoded designs, responses) matrices from evaluation records; the
+    designs go through :meth:`~idkit.space.DesignSpace.encode_units` in one call."""
+    u = np.array([space.normalize(r.point) for r in records]).reshape(-1, space.dim)
+    x = space.encode_units(u)
     y = np.array([r.response for r in records], dtype=float)
     return x, y
 

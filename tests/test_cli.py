@@ -155,6 +155,12 @@ class TestConfigMerging:
         doc = self._run(data_dir, "--config", str(cfg))
         assert doc["spec"]["budget"] == 5
 
+    def test_cache_yes_in_a_config_file_turns_the_cache_on(self, data_dir):
+        cfg = data_dir / "exp.cfg"
+        cfg.write_text("cache = yes\nseeds = 1\nbudget = 4\n")
+        doc = self._run(data_dir, "--config", str(cfg))
+        assert doc["spec"]["cache"] is True
+
     def test_unknown_key_exits_2(self, data_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--problem", "scf", "--algo", "rs", "--set", "bogus=1"])

@@ -5,8 +5,6 @@ import pytest
 
 from idkit.records import (
     EvalRecord,
-    append_record,
-    best_record,
     dump_records,
     load_records,
 )
@@ -71,12 +69,6 @@ class TestFiles:
         assert [r.trial for r in back] == [0, 1, 2, 3, 4]
         assert [r.loss for r in back] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
-    def test_append_extends_file(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        dump_records(path, [rec(1.0, 0)])
-        append_record(path, rec(2.0, 1))
-        assert len(load_records(path)) == 2
-
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_text(rec(1.0, 0).to_json() + "\n\n" + rec(2.0, 1).to_json() + "\n")
@@ -91,13 +83,3 @@ class TestFiles:
             load_records(path)
         path.write_text(rec(1.0, 0).to_json() + "\n")
         assert len(load_records(path)) == 1
-
-
-class TestBest:
-    def test_lowest_loss_wins(self):
-        rs = [rec(3.0, 0), rec(1.0, 1), rec(2.0, 2)]
-        assert best_record(rs).trial == 1
-
-    def test_tie_breaks_to_earliest_trial(self):
-        rs = [rec(1.0, 5), rec(1.0, 2), rec(1.0, 9)]
-        assert best_record(rs).trial == 2

@@ -15,7 +15,6 @@ from idkit.shapes import (
     bspline_closed,
     check_simple,
     check_single_connected,
-    knot_shrink_factor,
     load_pgm,
     rasterize,
     save_raster,
@@ -25,6 +24,12 @@ from idkit.shapes import (
     supercell_polygons,
     tpv_layout,
 )
+
+
+def knot_shrink_factor(m):
+    # the knot point is (P_prev + 4 P + P_next)/6, so controls on a circle
+    # give knots at radius (4 + 2 cos(2 pi / m)) / 6 times the control radius
+    return (4.0 + 2.0 * math.cos(2.0 * math.pi / m)) / 6.0
 
 
 def ring(n, r, phase=0.0):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from idkit.engine import cache_key
 from idkit.problems import get_space
 from idkit.space import (
     Categorical,
@@ -200,14 +201,11 @@ class TestUnitBoxCodec:
                 else:
                     assert v == w
 
-    def test_out_of_range_clamps_with_flag(self):
+    def test_out_of_range_clamps(self):
         space = get_space("scf")
         u = np.full(space.dim, 0.5)
-        _, clamped = space.denormalize_info(u)
-        assert not clamped
         u[0] = 1.5
-        pt, clamped = space.denormalize_info(u)
-        assert clamped
+        pt = space.denormalize(u)
         assert pt[0] == 350.0
 
     def test_denormalized_vectors_always_validate(self):
@@ -217,6 +215,27 @@ class TestUnitBoxCodec:
             for _ in range(200):
                 pt = space.denormalize(rng.random(space.dim))
                 assert space.validate(pt).ok
+
+
+class TestWideCategorical:
+    @pytest.mark.parametrize("k", [7, 22, 47, 49])
+    def test_every_choice_keeps_its_identity(self, k):
+        # choice i is stored as i/k, and for k = 22, 47 or 49 some i/k * k
+        # rounds below i, so truncation alone decodes that choice one bin low
+        choices = tuple(f"c{i}" for i in range(k))
+        space = DesignSpace(
+            "wide",
+            [ParamSpec("m", Categorical(choices)), ParamSpec("t", Continuous(0.0, 1.0))],
+            response_dim=1,
+        )
+        pts = [DesignPoint((c, 0.5)) for c in choices]
+        assert [space.denormalize(space.normalize(p)) for p in pts] == pts
+        assert [space.decode_onehot(space.encode_onehot(p)) for p in pts] == pts
+        assert len({cache_key(space, p, "wide") for p in pts}) == k
+        units = np.array([space.normalize(p) for p in pts])
+        np.testing.assert_array_equal(
+            space.encode_units(units), [space.encode_onehot(p) for p in pts]
+        )
 
 
 class TestOnehot:
