@@ -13,6 +13,12 @@ Modules:
 * :mod:`idkit.cli` the `idkit` command
 """
 
+import os
+
+# BO's numerics depend on the BLAS thread count, and a thread pool only slows
+# idkit's small matrices; effective only before numpy is imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .space import (
     Categorical,
     ConditionalContinuous,

@@ -19,13 +19,10 @@ import sys
 
 from . import harness
 from .engine import Engine, SimulatorBinding
-from .problems import get_space
+from .problems import PROBLEM_NAMES, get_space
 from .records import dump_records, load_records
 
 __all__ = ["main", "build_parser"]
-
-_PROBLEMS = ("motf", "tpv", "scf")
-
 
 # never filled from config files
 _NOT_CONFIG = {"command", "func", "config", "set", "report", "help"}
@@ -228,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", parents=[common],
                        help="sample and simulate a dataset of evaluation records")
-    p.add_argument("--problem", required=True, choices=_PROBLEMS)
+    p.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     p.add_argument("--n", type=int, help="number of records (default 1000)")
     p.add_argument("--seed", type=int, help="sampling seed (default 0)")
     p.add_argument("--workers", type=int, help="parallel simulator workers (default 1)")
@@ -245,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("targets", parents=[common],
                        help="draw realizable targets with their generating designs")
-    p.add_argument("--problem", required=True, choices=_PROBLEMS)
+    p.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     p.add_argument("--k", type=int, help="number of targets (default 5)")
     p.add_argument("--seed", type=int, help="target draw seed")
     p.add_argument("--adapter-cmd", help="external simulator command")
@@ -254,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common],
                        help="fit a surrogate network on a dataset")
-    p.add_argument("--problem", required=True, choices=_PROBLEMS)
+    p.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     p.add_argument("--data", required=True, help="training .jsonl dataset")
     p.add_argument("--model", choices=("forward", "inverse", "tandem"),
                    help="which net to fit (default forward)")
@@ -268,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[common],
                        help="run one optimizer against one problem and report")
-    p.add_argument("--problem", required=True, choices=_PROBLEMS)
+    p.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     p.add_argument("--algo", required=True, help="rs, es, tpe, bo, or sracos")
     p.add_argument("--budget", type=int, help="simulator calls per seed")
     p.add_argument("--seeds", type=int, help="number of seeds (default 5)")
@@ -286,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate one design point and print its loss")
-    p.add_argument("--problem", required=True, choices=_PROBLEMS)
+    p.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     p.add_argument("--point", required=True, help="JSON file with the design values")
     p.add_argument("--target", help="'builtin' or a target file (default: zero response)")
     p.add_argument("--adapter-cmd", help="external simulator command")

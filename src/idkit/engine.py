@@ -52,6 +52,7 @@ import subprocess
 import tempfile
 import threading
 import time
+import warnings
 import weakref
 from collections import deque
 from dataclasses import dataclass, replace
@@ -139,6 +140,7 @@ class _Cache:
     """Thread-safe response cache with optional JSON-lines persistence.
 
     An unparsable line, such as the tail of an interrupted append, is skipped.
+    A file that cannot be appended to is warned about once and then left alone.
     """
 
     def __init__(self, path: str | None):
@@ -167,12 +169,16 @@ class _Cache:
                 return
             self._mem[key] = y
             if self._path:
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    if self._torn:
+                try:
+                    with open(self._path, "a", encoding="utf-8") as fh:
+                        if self._torn:
+                            fh.write("\n")
+                            self._torn = False
+                        fh.write(json.dumps({"key": key, "y": y}, separators=(",", ":")))
                         fh.write("\n")
-                        self._torn = False
-                    fh.write(json.dumps({"key": key, "y": y}, separators=(",", ":")))
-                    fh.write("\n")
+                except OSError as exc:  # the response stays cached in memory
+                    warnings.warn(f"cache file {self._path} not written: {exc}", RuntimeWarning)
+                    self._path = None
 
 
 def _request_payload(
@@ -300,11 +306,9 @@ class Engine:
         self.binding = binding
         self.space = get_space(binding.problem)
         self._cache = _Cache(binding.cache_path) if binding.cache else None
-        # a response belongs to the simulator that produced it, not only to the
-        # problem; the thin-film solver's physics also depends on its tables
-        tables = ""
-        if binding.cache and binding.kind == "internal-motf":
-            tables = tables_digest()
+        # a response belongs to the simulator that produced it, and the thin-film
+        # solver's to its tables; the digest also reloads those edited on disk
+        tables = tables_digest() if binding.kind == "internal-motf" else ""
         self._namespace = "|".join(
             (binding.problem, binding.kind, binding.adapter_cmd or "", tables)
         )

@@ -38,7 +38,6 @@ class OptimizerSession:
         self.config = cfg
         self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
-        self.records: list[EvalRecord] = []
         self.history: list[tuple[np.ndarray, float]] = []
         self._pending: list[DesignPoint] = []
         self._setup()
@@ -81,7 +80,6 @@ class OptimizerSession:
 
     def _ingest(self, rec: EvalRecord, warm: bool) -> None:
         u = self.space.normalize(rec.point)
-        self.records.append(rec)
         self.history.append((u, float(rec.loss)))
         self._update(u, float(rec.loss), rec, warm)
 

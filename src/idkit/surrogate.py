@@ -110,9 +110,6 @@ class DenseNet:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._forward_cache(x)[0]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
-
     def _forward_cache(self, x: np.ndarray) -> tuple[np.ndarray, list, list]:
         a = np.atleast_2d(np.asarray(x, dtype=float))
         acts = [a]

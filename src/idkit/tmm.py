@@ -27,6 +27,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -112,7 +113,7 @@ class MaterialTable:
                 continue
             lam, n, k = line.split()
             rows.append((float(lam), float(n), float(k)))
-        arr = np.asarray(rows, dtype=float)
+        arr = np.asarray(rows, dtype=float).reshape(-1, 3)
         return cls(name, arr[:, 0], arr[:, 1], arr[:, 2])
 
     def to_text(self, path) -> None:
@@ -136,6 +137,13 @@ class MaterialTable:
         k = np.interp(lam, self.wavelength_um, self.k)
         return n - 1j * k
 
+    @cached_property
+    def _on_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N, K = 2*pi*N/lam) on the default grid."""
+        lam = default_grid()
+        idx = self.interp(lam)
+        return idx, 2.0 * np.pi * idx / lam
+
 
 def _data_dir() -> str:
     env = os.environ.get("IDKIT_DATA_DIR")
@@ -144,33 +152,30 @@ def _data_dir() -> str:
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "materials")
 
 
-# tables read so far, keyed by (directory, name), with the SHA-256 of the
-# bytes each was parsed from; _NK_CACHE below is derived from them
-_TABLE_CACHE: dict[tuple[str, str], MaterialTable] = {}
-_TABLE_SHA: dict[tuple[str, str], str] = {}
+# every table read so far, keyed by (directory, name): the SHA-256 of the
+# bytes it was parsed from, and the table parsed from them
+_TABLES: dict[tuple[str, str], tuple[str, MaterialTable]] = {}
 
 
 def load_material(name: str) -> MaterialTable:
     """Load a bundled table by name (IDKIT_DATA_DIR overrides the bundled set)."""
-    d = _data_dir()
-    key = (d, name)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        path = os.path.join(d, f"{name}.nk")
+    key = (_data_dir(), name)
+    entry = _TABLES.get(key)
+    if entry is None:
+        path = os.path.join(key[0], f"{name}.nk")
         if not os.path.exists(path):
             raise SpaceError(f"unknown material {name!r}: no table at {path}")
         with open(path, "rb") as fh:
             raw = fh.read()
-        table = _TABLE_CACHE[key] = MaterialTable._parse(name, raw)
-        _TABLE_SHA[key] = hashlib.sha256(raw).hexdigest()
-    return table
+        entry = _TABLES[key] = (hashlib.sha256(raw).hexdigest(), MaterialTable._parse(name, raw))
+    return entry[1]
 
 
 def tables_digest() -> str:
     """SHA-256 of the names and bytes of the ``.nk`` tables in the data directory.
 
-    Tables read from files that have changed since are dropped from the
-    in-process caches, so the next solve reads the tables just digested.
+    The directory's cached tables are brought up to date with the bytes just
+    digested: a changed file's table is parsed again, a removed file's dropped.
     """
     d = _data_dir()
     try:
@@ -178,15 +183,20 @@ def tables_digest() -> str:
     except OSError:
         files = []  # motf_forward fails every point, and failures are not cached
     h = hashlib.sha256()
-    shas = {}
     for file in files:
         with open(os.path.join(d, file), "rb") as fh:
-            shas[file[: -len(".nk")]] = sha = hashlib.sha256(fh.read()).hexdigest()
+            raw = fh.read()
+        sha = hashlib.sha256(raw).hexdigest()
         h.update(f"{file}\0{sha}\0".encode())
-    if any(k[0] == d and shas.get(k[1]) != sha for k, sha in list(_TABLE_SHA.items())):
-        for cache in (_TABLE_CACHE, _TABLE_SHA, _NK_CACHE):
-            for k in [k for k in list(cache) if k[0] == d]:
-                cache.pop(k, None)
+        key = (d, file[: -len(".nk")])
+        entry = _TABLES.get(key)
+        if entry is not None and entry[0] != sha:
+            try:
+                _TABLES[key] = (sha, MaterialTable._parse(key[1], raw))
+            except ValueError:  # the next solve rereads the file and fails its point
+                _TABLES.pop(key, None)
+    for key in [k for k in list(_TABLES) if k[0] == d and f"{k[1]}.nk" not in files]:
+        _TABLES.pop(key, None)
     return h.hexdigest()
 
 
@@ -278,20 +288,6 @@ def stack_spectrum(stack: LayerStack, grid: Sequence[float] | None = None) -> Sp
 
 # -- the 20-parameter film-stack problem ---------------------------------------
 
-_NK_CACHE: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _grid_nk(name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(N, K = 2*pi*N/lam) of a material on the default grid, cached per data dir."""
-    key = (_data_dir(), name)
-    nk = _NK_CACHE.get(key)
-    if nk is None:
-        lam = default_grid()
-        idx = load_material(name).interp(lam)
-        nk = _NK_CACHE[key] = (idx, 2.0 * np.pi * idx / lam)
-    return nk
-
-
 def motf_forward(point: DesignPoint) -> np.ndarray:
     """Emissivity spectrum (2001,) of a ten-layer stack point on Ag.
 
@@ -306,6 +302,6 @@ def motf_forward(point: DesignPoint) -> np.ndarray:
     for mat, d_um in zip(vals[:10], vals[10:]):
         if mat not in MATERIALS:
             raise SpaceError(f"unknown material {mat!r}")
-        layers.append((*_grid_nk(mat), float(d_um)))
-    r, t = _spectrum(default_grid(), 1.0, _grid_nk(SUBSTRATE_MATERIAL)[0], layers)
+        layers.append((*load_material(mat)._on_grid, float(d_um)))
+    r, t = _spectrum(default_grid(), 1.0, load_material(SUBSTRATE_MATERIAL)._on_grid[0], layers)
     return 1.0 - r - t

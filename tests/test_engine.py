@@ -23,7 +23,7 @@ from idkit.engine import (
     cache_key,
     throughput_curve,
 )
-from idkit.problems import get_space
+from idkit.problems import get_space, synthetic_response
 from idkit.space import DesignPoint, mse_loss
 from idkit.tmm import _data_dir, motf_forward
 
@@ -183,6 +183,22 @@ class TestInternal:
         for a, b in zip(recs, again):
             assert np.array_equal(a.response, b.response)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_unwritable_cache_file_keeps_every_response(self, tmp_path, workers):
+        path = str(tmp_path / "missing" / "cache.jsonl")
+        binding = SimulatorBinding(problem="scf", workers=workers, cache=True, cache_path=path)
+        pts = sample_points("scf", 6, seed=97)
+        engine = Engine(binding)
+        with pytest.warns(RuntimeWarning, match="not written") as caught:
+            recs = engine.evaluate_batch(pts)
+        assert len([w for w in caught if path in str(w.message)]) == 1
+        for p, r in zip(pts, recs):
+            assert "error" not in r.meta
+            assert np.array_equal(r.response, synthetic_response(p, "scf"))
+        again = engine.evaluate_batch(pts)
+        assert all(r.meta.get("cache") == "hit" for r in again)
+        assert not os.path.exists(path)
+
     def test_non_finite_internal_response_fails_the_point(self, monkeypatch):
         import idkit.engine
 
@@ -266,17 +282,19 @@ class TestCacheKey:
             assert not np.array_equal(r.response, a.response)
 
 
-    def test_tables_edited_in_place_miss_the_motf_cache(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
+    def test_tables_edited_in_place_miss_the_motf_cache(self, tmp_path, monkeypatch, cache):
         from idkit.tmm import MaterialTable, _data_dir
 
         tables = tmp_path / "tables"
         shutil.copytree(_data_dir(), tables)
         monkeypatch.setenv("IDKIT_DATA_DIR", str(tables))
         path = str(tmp_path / "cache.jsonl")
-        binding = SimulatorBinding(problem="motf", cache=True, cache_path=path)
+        binding = SimulatorBinding(problem="motf", cache=cache, cache_path=path)
         pts = sample_points("motf", 1, seed=89)
         first = Engine(binding).evaluate_batch(pts)[0]
-        assert Engine(binding).evaluate_batch(pts)[0].meta.get("cache") == "hit"
+        if cache:
+            assert Engine(binding).evaluate_batch(pts)[0].meta.get("cache") == "hit"
         for name in os.listdir(tables):
             t = MaterialTable.from_text(tables / name)
             MaterialTable(t.name, t.wavelength_um, 1.1 * t.n, t.k).to_text(tables / name)
@@ -284,6 +302,7 @@ class TestCacheKey:
         assert "cache" not in rec.meta
         # simulated with the edited tables, not with those read before the edit
         assert not np.array_equal(rec.response, first.response)
+        assert np.array_equal(rec.response, motf_forward(pts[0]))
 
 
 class TestEchoAdapter:

@@ -1,5 +1,9 @@
 """Ask/tell protocol, per-kind update rules, and cheap behavioral oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -192,7 +196,7 @@ class TestWarmStart:
         session = make_optimizer("rs", space, seed=0)
         warm_start(session, dataset, top_k=1)
         assert session._pending == []
-        assert len(session.records) == 1
+        assert len(session.history) == 1
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
@@ -236,3 +240,32 @@ class TestBayesOpt:
             mean, var = session.posterior_at(pt)
             assert mean == pytest.approx(loss, abs=1e-6)
             assert var >= 0.0
+
+
+# prints the thread count of the OpenBLAS library numpy loads after idkit
+BLAS_THREADS = """
+import ctypes
+import idkit
+import numpy
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+for lib in sorted(libs):
+    handle = ctypes.CDLL(lib)
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                "openblas_get_num_threads"):
+        fn = getattr(handle, sym, None)
+        if fn is not None:
+            fn.argtypes = []
+            fn.restype = ctypes.c_int
+            print(fn())
+            raise SystemExit
+"""
+
+
+def test_importing_idkit_first_gives_one_blas_thread():
+    # BO's Cholesky retries, and so its proposals, depend on the thread count
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]

@@ -260,6 +260,27 @@ class TestMaterialDirOverride:
         with pytest.raises(SpaceError, match="unknown material"):
             load_material("SiC")  # only Custom.nk lives in the override dir
 
+    def test_digest_refreshes_the_tables_read_before(self, tmp_path, monkeypatch):
+        from idkit.tmm import _data_dir, tables_digest
+
+        path = tmp_path / "Custom.nk"
+        t = MaterialTable.from_text(os.path.join(_data_dir(), "SiO2.nk"))
+        t.to_text(path)
+        monkeypatch.setenv("IDKIT_DATA_DIR", str(tmp_path))
+        first = load_material("Custom")
+        MaterialTable(t.name, t.wavelength_um, 1.1 * t.n, t.k).to_text(path)
+        assert load_material("Custom") is first  # each table is read once
+        tables_digest()
+        assert np.array_equal(load_material("Custom").n, MaterialTable.from_text(path).n)
+        path.write_text("")
+        tables_digest()
+        with pytest.raises(ValueError, match="need >= 2"):
+            load_material("Custom")
+        path.unlink()
+        tables_digest()
+        with pytest.raises(SpaceError, match="unknown material"):
+            load_material("Custom")
+
 
 def load_material_bundled_sio2(bundled):
     from idkit.tmm import MaterialTable
