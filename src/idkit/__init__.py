@@ -8,7 +8,7 @@ Modules:
 * :mod:`idkit.shapes` B-spline supercell geometry and rasters
 * :mod:`idkit.optimizers` five ask/tell black-box optimizers
 * :mod:`idkit.surrogate` dense-network surrogates and inverse-design methods
-* :mod:`idkit.engine` parallel/cached simulator evaluation and adapters
+* :mod:`idkit.engine` parallel simulator evaluation and adapters
 * :mod:`idkit.harness` datasets, targets, budgeted runs, reports
 * :mod:`idkit.cli` the `idkit` command
 """

@@ -121,7 +121,7 @@ def _cmd_train(ns) -> int:
     from . import surrogate
 
     _fill(ns, model="forward", seed=0,
-          out=f"{ns.problem}_{ns.model or 'forward'}.npz")
+          out=f"{ns.problem}_{ns.model or 'forward'}.bin")
     if ns.model == "tandem" and not ns.forward_model:
         raise _usage_error("--model tandem requires --forward-model")
     space = get_space(ns.problem)
@@ -162,7 +162,6 @@ def _cmd_run(ns) -> int:
         ask_batch=ns.ask_batch,
         workers=ns.workers,
         adapter_cmd=ns.adapter_cmd,
-        cache=bool(ns.cache),
         out_dir=ns.out,
     )
     report = harness.run_experiment(spec)
@@ -276,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="'iid', 'builtin', or a target file")
     p.add_argument("--adapter-cmd", help="external simulator command")
     p.add_argument("--ask-batch", type=int, help="points per ask (default 1)")
-    p.add_argument("--cache", action="store_const", const=True,
-                   help="reuse previous evaluations of identical designs")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_run)
 

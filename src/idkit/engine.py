@@ -1,4 +1,4 @@
-"""Parallel evaluation of design points with caching and external simulators.
+"""Parallel evaluation of design points on internal and external simulators.
 
 The simulator follows from the problem and the adapter command: with an
 ``adapter_cmd``, child processes speak line-delimited JSON over stdin/stdout,
@@ -9,13 +9,11 @@ experiments).  ``SimulatorBinding.kind`` names the choice
 (``external-adapter``, ``internal-motf`` or ``internal-synthetic``).
 
 All three go through one scheduler, ``Engine.evaluate_batch``, the single
-entry point.  It splits the batch into jobs (points to simulate) and
-followers (in-batch duplicates of a job, and cache hits).  Workers take jobs
-from a shared queue.  A batch with one job, or a binding with one worker, is
-served in the calling thread; otherwise ``min(workers, jobs)`` threads serve
-the queue.  A reply of the wrong length or with a non-finite value fails its
-point and is never cached, and so does a geometry raster that cannot be
-written.  Followers are then read from the cache.
+entry point.  Every point of a batch is a job in one shared queue, and
+workers take jobs from it.  A batch with one point, or a binding with one
+worker, is served in the calling thread; otherwise ``min(workers, points)``
+threads serve the queue.  A reply of the wrong length or with a non-finite
+value fails its point, and so does a geometry raster that cannot be written.
 
 Adapter children live as long as the engine: an external worker borrows an
 idle child from the engine, or spawns one when it takes its first job, and
@@ -30,19 +28,13 @@ leaving a ``with Engine(...)`` block) kills the idle children; an engine
 dropped without it has them killed when it is garbage collected.
 
 Results always come back in input order, one terminal record per point:
-either a response or a failure reason in the record's metadata.  The
-optional cache (in memory plus an append-only JSON-lines file) is keyed by
-the simulator (problem, kind, adapter command and, for the thin-film solver,
-a digest of its material tables' contents) and the point; keys quantize
-normalized continuous coordinates to 1e-9 so optimizer-proposed
-near-duplicates hit while physically distinct points never alias.  With ``send_geometry`` an
-adapter also gets each point's raster as a file in a temporary directory
-that lives for one batch.
+either a response or a failure reason in the record's metadata.  With
+``send_geometry`` an adapter also gets each point's raster as a file in a
+temporary directory that lives for one batch.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import select
@@ -52,7 +44,6 @@ import subprocess
 import tempfile
 import threading
 import time
-import warnings
 import weakref
 from collections import deque
 from dataclasses import dataclass, replace
@@ -62,7 +53,7 @@ import numpy as np
 
 from .problems import get_space, synthetic_response
 from .records import EvalRecord
-from .space import DesignPoint, DesignSpace, mse_loss
+from .space import DesignPoint, mse_loss
 from .tmm import motf_forward, tables_digest
 
 __all__ = [
@@ -70,7 +61,6 @@ __all__ = [
     "AdapterProtocolError",
     "AdapterTimeoutError",
     "SimulatorBinding",
-    "cache_key",
     "Engine",
     "adapter_roundtrip",
     "throughput_curve",
@@ -97,7 +87,7 @@ class _PointFailed(Exception):
 
 @dataclass(frozen=True)
 class SimulatorBinding:
-    """Which simulator to run, how wide, and whether to cache.
+    """Which simulator to run, and how wide.
 
     The simulator is the adapter command when one is given, else the
     problem's built-in one.
@@ -105,8 +95,6 @@ class SimulatorBinding:
 
     problem: str
     workers: int = 1
-    cache: bool = False
-    cache_path: str | None = None
     adapter_cmd: str | None = None
     timeout: float = 30.0
     sleep_s: float = 0.0
@@ -121,64 +109,6 @@ class SimulatorBinding:
         if self.adapter_cmd:
             return "external-adapter"
         return "internal-motf" if self.problem == "motf" else "internal-synthetic"
-
-
-def cache_key(space: DesignSpace, point: DesignPoint, namespace: str) -> str:
-    """Digest of a namespace (the problem id, at least) and the canonical quantized point."""
-    u = space.normalize(point)
-    idx = iter(space.choice_indices(u).tolist())
-    parts = [namespace]
-    for i, kind in enumerate(space.unit_kinds()):
-        if kind is None:
-            parts.append(f"f{int(round(u[i] * 1e9))}")
-        else:
-            parts.append(f"c{next(idx)}")
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()
-
-
-class _Cache:
-    """Thread-safe response cache with optional JSON-lines persistence.
-
-    An unparsable line, such as the tail of an interrupted append, is skipped.
-    A file that cannot be appended to is warned about once and then left alone.
-    """
-
-    def __init__(self, path: str | None):
-        self._mem: dict[str, list[float]] = {}
-        self._path = path
-        self._lock = threading.Lock()
-        self._torn = False  # the file does not end in a newline
-        if path and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            self._torn = bool(text) and not text.endswith("\n")
-            for line in text.splitlines():
-                try:
-                    row = json.loads(line)
-                    self._mem[row["key"]] = row["y"]
-                except (ValueError, KeyError, TypeError):
-                    continue
-
-    def get(self, key: str) -> list[float] | None:
-        with self._lock:
-            return self._mem.get(key)
-
-    def put(self, key: str, y: list[float]) -> None:
-        with self._lock:
-            if key in self._mem:
-                return
-            self._mem[key] = y
-            if self._path:
-                try:
-                    with open(self._path, "a", encoding="utf-8") as fh:
-                        if self._torn:
-                            fh.write("\n")
-                            self._torn = False
-                        fh.write(json.dumps({"key": key, "y": y}, separators=(",", ":")))
-                        fh.write("\n")
-                except OSError as exc:  # the response stays cached in memory
-                    warnings.warn(f"cache file {self._path} not written: {exc}", RuntimeWarning)
-                    self._path = None
 
 
 def _request_payload(
@@ -204,16 +134,10 @@ def _checked(y, dim: int) -> np.ndarray:
 
 
 def _finish(
-    point: DesignPoint,
-    y,
-    target: np.ndarray | None,
-    trial: int,
-    dt: float,
-    meta: dict | None = None,
+    point: DesignPoint, y: np.ndarray, target: np.ndarray | None, trial: int, dt: float
 ) -> EvalRecord:
-    arr = np.asarray(y, dtype=float)
-    loss = mse_loss(arr, target if target is not None else np.zeros_like(arr))
-    return EvalRecord(point, arr, loss, trial, wall_time=dt, meta=meta or {})
+    loss = mse_loss(y, target if target is not None else np.zeros_like(y))
+    return EvalRecord(point, y, loss, trial, wall_time=dt)
 
 
 def _failed(point: DesignPoint, reason: str, trial: int, dt: float) -> EvalRecord:
@@ -296,7 +220,7 @@ def _close_all(workers: list[_AdapterWorker]) -> None:
 
 
 class Engine:
-    """Owns the binding, its cache and its idle adapter children.
+    """Owns the binding and its idle adapter children.
 
     ``evaluate_batch`` is the single entry point.  Use the engine as a context
     manager, or call :meth:`close`, to kill its adapter children when done.
@@ -305,13 +229,9 @@ class Engine:
     def __init__(self, binding: SimulatorBinding):
         self.binding = binding
         self.space = get_space(binding.problem)
-        self._cache = _Cache(binding.cache_path) if binding.cache else None
-        # a response belongs to the simulator that produced it, and the thin-film
-        # solver's to its tables; the digest also reloads those edited on disk
-        tables = tables_digest() if binding.kind == "internal-motf" else ""
-        self._namespace = "|".join(
-            (binding.problem, binding.kind, binding.adapter_cmd or "", tables)
-        )
+        if binding.kind == "internal-motf":
+            # brings the material tables read earlier up to date with the files on disk
+            tables_digest()
         self._next_id = 0
         self._id_lock = threading.Lock()
         # live adapter children between batches; the finalizer holds the list,
@@ -387,19 +307,7 @@ class Engine:
             if not check:
                 raise EngineError(f"invalid point: {'; '.join(check.violations)}")
         results: list[EvalRecord | None] = [None] * len(points)
-        keys = [cache_key(self.space, p, self._namespace) if self._cache else None for p in points]
-        # the first occurrence of an uncached key is a job; later occurrences
-        # and cache hits follow it and read the cache once the jobs are done
-        todo: deque[tuple[int, int]] = deque()
-        leaders: set[str] = set()
-        followers: list[int] = []
-        for i, key in enumerate(keys):
-            if key is not None and (key in leaders or self._cache.get(key) is not None):
-                followers.append(i)
-                continue
-            if key is not None:
-                leaders.add(key)
-            todo.append((i, 0))
+        todo: deque[tuple[int, int]] = deque((i, 0) for i in range(len(points)))
         cond = threading.Condition()
         in_flight = 0
         lost: list[str] = []
@@ -440,10 +348,7 @@ class Engine:
                 else:
                     results[i] = _failed(points[i], reason, start_trial + i, time.monotonic() - t0)
                 return False
-            dt = time.monotonic() - t0
-            if keys[i] is not None:
-                self._cache.put(keys[i], y.tolist())
-            results[i] = _finish(points[i], y, target, start_trial + i, dt)
+            results[i] = _finish(points[i], y, target, start_trial + i, time.monotonic() - t0)
             return True
 
         def serve() -> None:
@@ -493,16 +398,6 @@ class Engine:
             if geom_dir is not None:
                 shutil.rmtree(geom_dir, ignore_errors=True)
 
-        for i in followers:
-            t0 = time.monotonic()
-            y = self._cache.get(keys[i])
-            if y is None:
-                results[i] = _failed(points[i], "cache leader failed", start_trial + i, 0.0)
-            else:
-                results[i] = _finish(
-                    points[i], y, target, start_trial + i, time.monotonic() - t0,
-                    meta={"cache": "hit"},
-                )
         unserved = "no adapter workers left"
         if lost:
             unserved += f" (last error: {lost[-1]})"

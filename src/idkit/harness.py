@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .engine import Engine, SimulatorBinding
-from .optimizers import make_optimizer, warm_start
-from .problems import get_space
+from .optimizers import OPTIMIZER_KINDS, make_optimizer, warm_start
+from .problems import PROBLEM_NAMES, get_space
 from .records import EvalRecord, dump_records, load_records
 from .space import DesignPoint, DesignSpace, mse_loss
 from .tmm import default_grid
@@ -208,7 +208,8 @@ class ExperimentSpec:
     ``target`` is one of ``"builtin"`` (the radiative-cooler spectrum, films
     only), ``"iid"`` (fresh realizable targets, one per seed, drawn with
     ``target_seed``), or a path to a stored response.  ``budget`` counts
-    simulator calls, cache hits included; warm-start records cost nothing.
+    simulator calls; warm-start records cost nothing.  ``problem`` and
+    ``algo`` are checked on construction, before anything is simulated.
     """
 
     problem: str
@@ -223,10 +224,13 @@ class ExperimentSpec:
     ask_batch: int = 1
     workers: int = 1
     adapter_cmd: str | None = None
-    cache: bool = False
     out_dir: str | None = None
 
     def __post_init__(self):
+        if self.problem not in PROBLEM_NAMES:
+            raise ValueError(f"unknown problem {self.problem!r}; expected one of {PROBLEM_NAMES}")
+        if self.algo.lower() not in OPTIMIZER_KINDS:
+            raise ValueError(f"unknown algo {self.algo!r}; expected one of {OPTIMIZER_KINDS}")
         if self.budget is None:
             object.__setattr__(self, "budget", DEFAULT_BUDGETS[self.problem])
         if self.budget < 0:
@@ -313,8 +317,9 @@ class ExperimentReport:
     def final_losses(self) -> list[float]:
         return [c[-1] for c in self.curves if c]
 
-    # storage location, pool width, and caching cannot change results (worker
-    # independence and cache hits are bitwise), so they stay out of the hash
+    # storage location and pool width cannot change results (workers are
+    # independent), so they stay out of the hash; so does the `cache` flag
+    # that reports of earlier versions carry, so those keep their hashes
     _UNHASHED_SPEC_KEYS = ("out_dir", "dataset_path", "workers", "cache")
 
     def _payload(self) -> dict:
@@ -411,9 +416,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     CSV/SVG renderings.
     """
     space = get_space(spec.problem)
-    binding = SimulatorBinding(
-        spec.problem, workers=spec.workers, cache=spec.cache, adapter_cmd=spec.adapter_cmd
-    )
+    binding = SimulatorBinding(spec.problem, workers=spec.workers, adapter_cmd=spec.adapter_cmd)
     targets = _resolve_targets(spec, space, binding)
     dataset = load_records(spec.dataset_path) if spec.dataset_path else None
     if spec.out_dir:

@@ -228,8 +228,10 @@ class BayesOpt(OptimizerSession):
     def _propose_batch(self, n: int) -> list[DesignPoint]:
         out = []
         fantasy: list[tuple[np.ndarray, float]] = []
+        # the GP fits finite losses only, so failed points do not end the startup
+        n_finite = sum(math.isfinite(loss) for _, loss in self.history)
         for _ in range(n):
-            if len(self.history) < int(self.config["n_startup"]):
+            if n_finite < int(self.config["n_startup"]):
                 out.append(self.space.sample_uniform(self.rng))
                 continue
             self._sync(extra=fantasy)

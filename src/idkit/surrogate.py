@@ -49,6 +49,11 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"IDKITNN1"
 
+# fixed training settings: minibatch size, and the share of a dataset held
+# out for validation; the learning rate always follows a cosine decay
+_BATCH_SIZE = 64
+_VAL_FRACTION = 0.1
+
 
 class TrainingDiverged(RuntimeError):
     """Training loss became non-finite; carries the epoch it happened in."""
@@ -57,10 +62,8 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 300
-    batch_size: int = 64
     lr: float = 0.2
     momentum: float = 0.9
-    cosine_decay: bool = True
     clip_norm: float = 50.0
     # the per-entry mean loss divides the output head's gradient by the
     # response width; for wide responses (hundreds of entries and up) raise
@@ -68,14 +71,11 @@ class TrainConfig:
     # stack and the model can stall at the mean predictor
     head_lr_scale: float = 1.0
     seed: int = 0
-    val_fraction: float = 0.1
     hidden: tuple[int, ...] = (256, 256, 256)
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise ValueError("epochs, batch_size, lr must be positive")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
+        if self.epochs < 1 or self.lr <= 0:
+            raise ValueError("epochs, lr must be positive")
 
 
 class DenseNet:
@@ -156,11 +156,9 @@ def encode_dataset(
     return x, y
 
 
-def _split_train_val(
-    n: int, val_fraction: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def _split_train_val(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     order = rng.permutation(n)
-    n_val = max(1, int(round(n * val_fraction)))
+    n_val = max(1, int(round(n * _VAL_FRACTION)))
     return order[n_val:], order[:n_val]
 
 
@@ -207,7 +205,7 @@ def _sgd_loop(
 
     Returns the best-validation weights and the (epoch, train, val) log."""
     rng = np.random.default_rng(cfg.seed)
-    tr, va = _split_train_val(x.shape[0], cfg.val_fraction, rng)
+    tr, va = _split_train_val(x.shape[0], rng)
     xt, yt, xv, yv = x[tr], y[tr], x[va], y[va]
 
     mu_x = xt.mean(axis=0)
@@ -238,13 +236,11 @@ def _sgd_loop(
     log: list[tuple[int, float, float]] = []
     n = xt.shape[0]
     for epoch in range(cfg.epochs):
-        lr = cfg.lr
-        if cfg.cosine_decay:
-            lr *= 0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs))
+        lr = cfg.lr * (0.5 * (1.0 + np.cos(np.pi * epoch / cfg.epochs)))
         order = rng.permutation(n)
         running = 0.0
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
+        for lo in range(0, n, _BATCH_SIZE):
+            idx = order[lo : lo + _BATCH_SIZE]
             xb, yb = xt[idx], yt_s[idx]
             pred, acts, zs = model._forward_cache(xb)
             if forward_frozen is not None:
@@ -281,7 +277,7 @@ def _sgd_loop(
         if not np.isfinite(train_loss):
             raise TrainingDiverged(
                 f"training loss became non-finite at epoch {epoch} "
-                f"(lr={cfg.lr}, batch_size={cfg.batch_size}); lower the learning rate"
+                f"(lr={cfg.lr}, batch_size={_BATCH_SIZE}); lower the learning rate"
             )
         val_loss = eval_loss(xv, yv)
         log.append((epoch, train_loss, val_loss))

@@ -181,7 +181,7 @@ def tables_digest() -> str:
     try:
         files = sorted(n for n in os.listdir(d) if n.endswith(".nk"))
     except OSError:
-        files = []  # motf_forward fails every point, and failures are not cached
+        files = []  # motf_forward fails every point
     h = hashlib.sha256()
     for file in files:
         with open(os.path.join(d, file), "rb") as fh:

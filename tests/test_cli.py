@@ -15,6 +15,7 @@ from idkit.records import load_records
 from idkit.space import mse_loss
 
 HELP_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_help.txt")
+RUN_HELP_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_run_help.txt")
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixture_adapter.py")
 
 
@@ -26,6 +27,17 @@ def data_dir(tmp_path, monkeypatch):
 
 def run_main(argv):
     return main(argv)
+
+
+def help_text(argv, capsys) -> str:
+    os.environ["COLUMNS"] = "80"
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    finally:
+        os.environ.pop("COLUMNS", None)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
 
 
 class TestUsage:
@@ -51,15 +63,13 @@ class TestUsage:
         assert exc.value.code == 2
 
     def test_help_snapshot(self, capsys):
-        os.environ["COLUMNS"] = "80"
-        try:
-            with pytest.raises(SystemExit) as exc:
-                main(["--help"])
-        finally:
-            os.environ.pop("COLUMNS", None)
-        assert exc.value.code == 0
-        got = capsys.readouterr().out
+        got = help_text(["--help"], capsys)
         with open(HELP_GOLDEN, "r", encoding="utf-8") as fh:
+            assert got == fh.read()
+
+    def test_run_help_snapshot(self, capsys):
+        got = help_text(["run", "--help"], capsys)
+        with open(RUN_HELP_GOLDEN, "r", encoding="utf-8") as fh:
             assert got == fh.read()
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
@@ -155,12 +165,6 @@ class TestConfigMerging:
         doc = self._run(data_dir, "--config", str(cfg))
         assert doc["spec"]["budget"] == 5
 
-    def test_cache_yes_in_a_config_file_turns_the_cache_on(self, data_dir):
-        cfg = data_dir / "exp.cfg"
-        cfg.write_text("cache = yes\nseeds = 1\nbudget = 4\n")
-        doc = self._run(data_dir, "--config", str(cfg))
-        assert doc["spec"]["cache"] is True
-
     def test_unknown_key_exits_2(self, data_dir, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--problem", "scf", "--algo", "rs", "--set", "bogus=1"])
@@ -194,6 +198,12 @@ class TestRun:
         assert "final mean loss" in printed
         with open(os.path.join(out, "report.json")) as fh:
             assert json.load(fh)["report_hash"] in printed
+
+    def test_unknown_algo_exits_1_before_simulating(self, data_dir, capsys):
+        rc = main(["run", "--problem", "scf", "--algo", "nope", "--budget", "5"])
+        assert rc == 1
+        assert "unknown algo 'nope'" in capsys.readouterr().err
+        assert os.listdir(data_dir) == []
 
 
 class TestEval:
@@ -296,6 +306,16 @@ class TestTrain:
         assert open(log).readline().strip() == "epoch,train_loss,val_loss"
         assert "final val loss" in capsys.readouterr().out
 
+    def test_default_checkpoint_is_a_bin_file(self, data_dir):
+        from idkit import surrogate
+
+        ds = str(data_dir / "d.jsonl")
+        main(["gen-data", "--problem", "scf", "--n", "120", "--seed", "4",
+              "--out", ds])
+        rc = main(["train", "--problem", "scf", "--data", ds, "--epochs", "2"])
+        assert rc == 0
+        _, meta = surrogate.load_model(str(data_dir / "scf_forward.bin"))
+        assert meta["model"] == "forward"
     def test_tandem_needs_forward_model(self, data_dir):
         ds = str(data_dir / "d.jsonl")
         main(["gen-data", "--problem", "scf", "--n", "120", "--seed", "4",

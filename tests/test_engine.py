@@ -1,8 +1,6 @@
-"""Batch evaluation engine: ordering, caching, worker pools, adapters."""
+"""Batch evaluation engine: ordering, worker pools, adapters."""
 
 import gc
-import hashlib
-import json
 import os
 import shutil
 import sys
@@ -20,12 +18,11 @@ from idkit.engine import (
     EngineError,
     SimulatorBinding,
     adapter_roundtrip,
-    cache_key,
     throughput_curve,
 )
 from idkit.problems import get_space, synthetic_response
 from idkit.space import DesignPoint, mse_loss
-from idkit.tmm import _data_dir, motf_forward
+from idkit.tmm import MaterialTable, _data_dir, motf_forward
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixture_adapter.py")
 ECHO_CMD = f"{sys.executable} -m idkit.adapters"
@@ -69,31 +66,6 @@ class TestBinding:
         for problem in ("motf", "tpv", "scf"):
             assert SimulatorBinding(problem, adapter_cmd=ECHO_CMD).kind == "external-adapter"
 
-    def test_cache_lines_of_earlier_versions_still_hit(self, tmp_path):
-        # keys written when kind was a field: problem|kind|adapter_cmd|tables
-        path = str(tmp_path / "cache.jsonl")
-        tables = hashlib.sha256()
-        for name in sorted(n for n in os.listdir(_data_dir()) if n.endswith(".nk")):
-            with open(os.path.join(_data_dir(), name), "rb") as fh:
-                tables.update(f"{name}\0{hashlib.sha256(fh.read()).hexdigest()}\0".encode())
-        scf, motf = sample_points("scf", 1, seed=103)[0], sample_points("motf", 1, seed=103)[0]
-        cases = [
-            (SimulatorBinding("scf", cache=True, cache_path=path), scf,
-             "scf|internal-synthetic||", [1.0, 2.0, 3.0]),
-            (external_binding(cache=True, cache_path=path), scf,
-             f"scf|external-adapter|{ECHO_CMD}|", [4.0, 5.0, 6.0]),
-            (SimulatorBinding("motf", cache=True, cache_path=path), motf,
-             f"motf|internal-motf||{tables.hexdigest()}", [0.5] * 2001),
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            for binding, point, namespace, y in cases:
-                key = cache_key(get_space(binding.problem), point, namespace)
-                fh.write(json.dumps({"key": key, "y": y}) + "\n")
-        for binding, point, _, y in cases:
-            (rec,) = Engine(binding).evaluate_batch([point])
-            assert rec.meta.get("cache") == "hit"
-            assert list(rec.response) == y
-
 
 class TestInternal:
     def test_results_in_input_order_and_match_direct_sim(self):
@@ -119,15 +91,6 @@ class TestInternal:
             assert np.array_equal(a.response, b.response)
             assert a.loss == b.loss
 
-    def test_duplicate_point_is_bitwise_cache_hit(self):
-        pts = sample_points("motf", 3, seed=1)
-        batch = pts + [pts[1]]
-        binding = SimulatorBinding(problem="motf", workers=4, cache=True)
-        recs = Engine(binding).evaluate_batch(batch)
-        assert recs[3].meta.get("cache") == "hit"
-        assert np.array_equal(recs[3].response, recs[1].response)
-        assert "cache" not in recs[1].meta
-
     def test_without_cache_duplicates_are_simulated(self):
         pts = sample_points("scf", 2, seed=2)
         binding = SimulatorBinding(problem="scf", workers=2)
@@ -135,26 +98,23 @@ class TestInternal:
         assert all("cache" not in r.meta for r in recs)
         assert np.array_equal(recs[0].response, recs[2].response)
 
-    def test_cache_persists_across_engines(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        pts = sample_points("scf", 4, seed=5)
-        binding = SimulatorBinding(
-            problem="scf", workers=2, cache=True, cache_path=path
-        )
-        first = Engine(binding).evaluate_batch(pts)
-        assert os.path.getsize(path) > 0
-        second = Engine(binding).evaluate_batch(pts)
-        for a, b in zip(first, second):
-            assert b.meta.get("cache") == "hit"
-            assert np.array_equal(a.response, b.response)
+    def test_many_threads_simulate_each_point_once(self, monkeypatch):
+        import idkit.engine
 
-    def test_many_threads_simulate_and_store_each_key_once(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
         pts = sample_points("scf", 60, seed=71)
-        batch = pts + pts[::2]
-        binding = SimulatorBinding(
-            problem="scf", workers=16, cache=True, cache_path=str(path)
-        )
+        # equal copies of every other point, told apart from theirs by identity
+        batch = pts + [DesignPoint(p.values) for p in pts[::2]]
+        entry = {id(p): i for i, p in enumerate(batch)}
+        calls = [0] * len(batch)
+        lock = threading.Lock()
+
+        def counted(point, problem):
+            with lock:
+                calls[entry[id(point)]] += 1
+            return synthetic_response(point, problem)
+
+        monkeypatch.setattr(idkit.engine, "synthetic_response", counted)
+        binding = SimulatorBinding(problem="scf", workers=16)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -163,47 +123,13 @@ class TestInternal:
             sys.setswitchinterval(old)
         assert [r.trial for r in recs] == list(range(90))
         assert not any(r.failed for r in recs)
-        assert sum(r.meta.get("cache") == "hit" for r in recs) == 30
-        assert len(path.read_text().splitlines()) == 60
-
-    def test_truncated_cache_tail_is_skipped(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        pts = sample_points("scf", 3, seed=43)
-        binding = SimulatorBinding(
-            problem="scf", cache=True, cache_path=str(path)
-        )
-        Engine(binding).evaluate_batch(pts)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 3
-        path.write_text(f"{lines[0]}\n{lines[1]}\n{lines[2][: len(lines[2]) // 2]}")
-        recs = Engine(binding).evaluate_batch(pts)
-        assert [r.meta.get("cache") for r in recs] == ["hit", "hit", None]
-        again = Engine(binding).evaluate_batch(pts)
-        assert all(r.meta.get("cache") == "hit" for r in again)
-        for a, b in zip(recs, again):
-            assert np.array_equal(a.response, b.response)
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_unwritable_cache_file_keeps_every_response(self, tmp_path, workers):
-        path = str(tmp_path / "missing" / "cache.jsonl")
-        binding = SimulatorBinding(problem="scf", workers=workers, cache=True, cache_path=path)
-        pts = sample_points("scf", 6, seed=97)
-        engine = Engine(binding)
-        with pytest.warns(RuntimeWarning, match="not written") as caught:
-            recs = engine.evaluate_batch(pts)
-        assert len([w for w in caught if path in str(w.message)]) == 1
-        for p, r in zip(pts, recs):
-            assert "error" not in r.meta
-            assert np.array_equal(r.response, synthetic_response(p, "scf"))
-        again = engine.evaluate_batch(pts)
-        assert all(r.meta.get("cache") == "hit" for r in again)
-        assert not os.path.exists(path)
+        assert calls == [1] * 90
 
     def test_non_finite_internal_response_fails_the_point(self, monkeypatch):
         import idkit.engine
 
         monkeypatch.setattr(idkit.engine, "synthetic_response", lambda p, problem: np.full(3, np.nan))
-        binding = SimulatorBinding(problem="scf", cache=True)
+        binding = SimulatorBinding(problem="scf")
         recs = Engine(binding).evaluate_batch(sample_points("scf", 2, seed=53))
         assert all(r.meta["error"] == "non-finite response" for r in recs)
 
@@ -227,79 +153,17 @@ class TestInternal:
         t8 = dict(curve)[8]
         assert t1 / t8 >= 4.0
 
-
-class TestCacheKey:
-    def test_equal_points_equal_keys(self):
-        space = get_space("motf")
-        p = sample_points("motf", 1)[0]
-        q = DesignPoint(tuple(p.values))
-        assert cache_key(space, p, "motf") == cache_key(space, q, "motf")
-
-    def test_quantization_merges_noise_but_splits_real_deltas(self):
-        space = get_space("scf")
-        u = np.full(space.dim, 0.5003)
-        base = cache_key(space, space.denormalize(u), "scf")
-        noise = cache_key(space, space.denormalize(u + 2e-10), "scf")
-        real = cache_key(space, space.denormalize(u + 5e-9), "scf")
-        assert base == noise
-        assert base != real
-
-    def test_problem_id_enters_the_key(self):
-        space = get_space("scf")
-        p = sample_points("scf", 1)[0]
-        assert cache_key(space, p, "scf") != cache_key(space, p, "other")
-
-    def test_other_simulator_misses_the_cache(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        pts = sample_points("scf", 3, seed=47)
-        internal = SimulatorBinding(
-            problem="scf", cache=True, cache_path=path
-        )
-        Engine(internal).evaluate_batch(pts)
-        recs = Engine(external_binding(cache=True, cache_path=path)).evaluate_batch(pts)
-        assert all("cache" not in r.meta for r in recs)
-        for p, r in zip(pts, recs):
-            assert list(r.response) == [float(v) for v in p.values[:3]]
-
-    def test_other_material_tables_miss_the_motf_cache(self, tmp_path, monkeypatch):
-        from idkit.tmm import MaterialTable, _data_dir
-
-        bundled = _data_dir()
-        override = tmp_path / "tables"
-        override.mkdir()
-        for name in os.listdir(bundled):
-            t = MaterialTable.from_text(os.path.join(bundled, name))
-            MaterialTable(t.name, t.wavelength_um, 1.1 * t.n, t.k).to_text(override / name)
-        path = str(tmp_path / "cache.jsonl")
-        binding = SimulatorBinding(problem="motf", cache=True, cache_path=path)
-        pts = sample_points("motf", 2, seed=59)
-        first = Engine(binding).evaluate_batch(pts)
-        monkeypatch.setenv("IDKIT_DATA_DIR", str(override))
-        recs = Engine(binding).evaluate_batch(pts)
-        assert all("cache" not in r.meta for r in recs)
-        for p, a, r in zip(pts, first, recs):
-            assert np.array_equal(r.response, motf_forward(p))
-            assert not np.array_equal(r.response, a.response)
-
-
-    @pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
-    def test_tables_edited_in_place_miss_the_motf_cache(self, tmp_path, monkeypatch, cache):
-        from idkit.tmm import MaterialTable, _data_dir
-
+    def test_motf_engine_solves_with_tables_edited_in_place(self, tmp_path, monkeypatch):
         tables = tmp_path / "tables"
         shutil.copytree(_data_dir(), tables)
         monkeypatch.setenv("IDKIT_DATA_DIR", str(tables))
-        path = str(tmp_path / "cache.jsonl")
-        binding = SimulatorBinding(problem="motf", cache=cache, cache_path=path)
+        binding = SimulatorBinding(problem="motf")
         pts = sample_points("motf", 1, seed=89)
         first = Engine(binding).evaluate_batch(pts)[0]
-        if cache:
-            assert Engine(binding).evaluate_batch(pts)[0].meta.get("cache") == "hit"
         for name in os.listdir(tables):
             t = MaterialTable.from_text(tables / name)
             MaterialTable(t.name, t.wavelength_um, 1.1 * t.n, t.k).to_text(tables / name)
         rec = Engine(binding).evaluate_batch(pts)[0]
-        assert "cache" not in rec.meta
         # simulated with the edited tables, not with those read before the edit
         assert not np.array_equal(rec.response, first.response)
         assert np.array_equal(rec.response, motf_forward(pts[0]))
@@ -327,12 +191,6 @@ class TestEchoAdapter:
         assert n_lead > 0
         assert list(rec.response[:n_lead]) == [0.0] * n_lead
         assert rec.response.shape == (2001,)
-
-    def test_external_duplicate_cache_hit(self):
-        pts = sample_points("scf", 3, seed=19)
-        recs = Engine(external_binding(workers=2, cache=True)).evaluate_batch(pts + [pts[0]])
-        assert recs[3].meta.get("cache") == "hit"
-        assert np.array_equal(recs[3].response, recs[0].response)
 
     def test_geometry_payload_accepted(self, tmp_path, monkeypatch):
         import tempfile
@@ -437,26 +295,22 @@ class TestAdapterFaults:
         assert all(r.failed for r in recs)
         assert all("adapter" in r.meta["error"] for r in recs)
 
-    def test_short_reply_fails_the_point_and_is_not_cached(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
+    def test_short_reply_fails_the_point_and_is_not_cached(self):
         pts = sample_points("scf", 4, seed=59)
-        binding = external_binding(
-            cmd=fixture_cmd("short-y"), workers=2, cache=True, cache_path=str(path)
-        )
+        binding = external_binding(cmd=fixture_cmd("short-y"), workers=2)
         for target in (None, np.zeros(3)):
             recs = Engine(binding).evaluate_batch(pts, target=target)
             assert len(recs) == 4
             assert all(r.meta["error"] == "response has 1 values, expected 3" for r in recs)
             assert all(r.loss == float("inf") for r in recs)
-        assert not path.exists()
         rec = adapter_roundtrip(external_binding(cmd=fixture_cmd("short-y")), pts[0])
         assert rec.meta["error"] == "response has 1 values, expected 3"
 
     def test_nan_reply_fails_the_point(self):
         pts = sample_points("scf", 3, seed=61)
-        binding = external_binding(cmd=fixture_cmd("nan-y"), workers=2, cache=True)
+        binding = external_binding(cmd=fixture_cmd("nan-y"), workers=2)
         recs = Engine(binding).evaluate_batch(pts + [pts[0]], target=np.zeros(3))
-        assert [r.meta["error"] for r in recs] == ["non-finite response"] * 3 + ["cache leader failed"]
+        assert [r.meta["error"] for r in recs] == ["non-finite response"] * 4
         assert all(r.loss == float("inf") for r in recs)
 
     def test_no_adapter_child_outlives_the_batch(self, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,6 +221,13 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="seed"):
             H.ExperimentSpec(problem="scf", algo="rs", seeds=())
 
+    def test_unknown_problem_or_algo_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown problem 'bogus'.*'motf', 'tpv', 'scf'"):
+            H.ExperimentSpec(problem="bogus", algo="rs")
+        with pytest.raises(ValueError, match=r"unknown algo 'nope'.*'bo', 'es'"):
+            H.ExperimentSpec(problem="scf", algo="nope")
+        assert H.ExperimentSpec(problem="scf", algo="TPE").algo == "TPE"  # as make_optimizer reads it
+
 
 class TestRunExperiment:
     def test_curves_cover_budget_and_never_increase(self):
@@ -406,6 +414,11 @@ class TestReportSerialization:
             metadata={"created_utc": "1970-01-01T00:00:00Z"},
         )
         assert other.report_hash() == rep.report_hash()
+
+    def test_hash_ignores_the_cache_flag_of_earlier_reports(self):
+        rep = self._report()
+        earlier = replace(rep, spec={**rep.spec, "cache": True})
+        assert earlier.report_hash() == rep.report_hash()
 
     def test_hash_sees_curve_changes(self):
         rep = self._report()

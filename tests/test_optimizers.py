@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,17 @@ class TestBayesOpt:
             mean, var = session.posterior_at(pt)
             assert mean == pytest.approx(loss, abs=1e-6)
             assert var >= 0.0
+
+    def test_failed_points_do_not_end_the_startup(self):
+        space = get_space("scf")
+        session = make_optimizer("bo", space, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in range(8):
+                (pt,) = session.ask(1)
+                assert space.validate(pt).ok
+                failed = EvalRecord(pt, (), float("inf"), t, meta={"error": "solver failed"})
+                session.tell([failed])
 
 
 # prints the thread count of the OpenBLAS library numpy loads after idkit
