@@ -54,7 +54,7 @@ import numpy as np
 from .problems import get_space, synthetic_response
 from .records import EvalRecord
 from .space import DesignPoint, mse_loss
-from .tmm import motf_forward, tables_digest
+from .tmm import motf_forward, refresh_tables
 
 __all__ = [
     "EngineError",
@@ -231,7 +231,7 @@ class Engine:
         self.space = get_space(binding.problem)
         if binding.kind == "internal-motf":
             # brings the material tables read earlier up to date with the files on disk
-            tables_digest()
+            refresh_tables()
         self._next_id = 0
         self._id_lock = threading.Lock()
         # live adapter children between batches; the finalizer holds the list,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .engine import Engine, SimulatorBinding
-from .optimizers import OPTIMIZER_KINDS, make_optimizer, warm_start
+from .optimizers import OPTIMIZER_KINDS, check_config, make_optimizer, warm_start
 from .problems import PROBLEM_NAMES, get_space
 from .records import EvalRecord, dump_records, load_records
 from .space import DesignPoint, DesignSpace, mse_loss
@@ -208,8 +208,9 @@ class ExperimentSpec:
     ``target`` is one of ``"builtin"`` (the radiative-cooler spectrum, films
     only), ``"iid"`` (fresh realizable targets, one per seed, drawn with
     ``target_seed``), or a path to a stored response.  ``budget`` counts
-    simulator calls; warm-start records cost nothing.  ``problem`` and
-    ``algo`` are checked on construction, before anything is simulated.
+    simulator calls; warm-start records cost nothing.  ``problem``,
+    ``algo`` and the ``config`` keys are checked on construction, before
+    anything is simulated.
     """
 
     problem: str
@@ -231,6 +232,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown problem {self.problem!r}; expected one of {PROBLEM_NAMES}")
         if self.algo.lower() not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown algo {self.algo!r}; expected one of {OPTIMIZER_KINDS}")
+        check_config(self.algo, self.config)
         if self.budget is None:
             object.__setattr__(self, "budget", DEFAULT_BUDGETS[self.problem])
         if self.budget < 0:

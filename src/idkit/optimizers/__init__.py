@@ -18,6 +18,7 @@ from .tpe import TreeParzen
 __all__ = [
     "OPTIMIZER_KINDS",
     "make_optimizer",
+    "check_config",
     "warm_start",
     "OptimizerSession",
     "ProtocolError",
@@ -40,14 +41,23 @@ _REGISTRY: dict[str, type[OptimizerSession]] = {
 OPTIMIZER_KINDS = tuple(sorted(_REGISTRY))
 
 
-def make_optimizer(
-    kind: str, space: DesignSpace, config: dict | None = None, seed: int = 0
-) -> OptimizerSession:
-    """Build a fresh session of the given kind ('rs', 'es', 'tpe', 'bo', 'sracos')."""
+def _session_class(kind: str) -> type[OptimizerSession]:
     try:
-        cls = _REGISTRY[kind.lower()]
+        return _REGISTRY[kind.lower()]
     except KeyError:
         raise ValueError(
             f"unknown optimizer kind {kind!r}; expected one of {OPTIMIZER_KINDS}"
         ) from None
-    return cls(space, config, seed)
+
+
+def make_optimizer(
+    kind: str, space: DesignSpace, config: dict | None = None, seed: int = 0
+) -> OptimizerSession:
+    """Build a fresh session of the given kind ('rs', 'es', 'tpe', 'bo', 'sracos')."""
+    return _session_class(kind)(space, config, seed)
+
+
+def check_config(kind: str, config: dict | None) -> None:
+    """Raise the ValueError that ``make_optimizer(kind, space, config)`` would
+    raise for an unknown kind or config key, without building a session."""
+    _session_class(kind).resolve_config(config)

@@ -28,14 +28,8 @@ class OptimizerSession:
     strict_serial = False
 
     def __init__(self, space: DesignSpace, config: dict | None = None, seed: int = 0):
-        defaults = self.defaults()
-        cfg = dict(defaults)
-        for key, val in (config or {}).items():
-            if key not in defaults:
-                raise ValueError(f"{self.kind}: unknown config key {key!r}")
-            cfg[key] = type(defaults[key])(val) if defaults[key] is not None else val
         self.space = space
-        self.config = cfg
+        self.config = self.resolve_config(config)
         self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
         self.history: list[tuple[np.ndarray, float]] = []
@@ -45,6 +39,18 @@ class OptimizerSession:
     @classmethod
     def defaults(cls) -> dict:
         return {}
+
+    @classmethod
+    def resolve_config(cls, config: dict | None) -> dict:
+        """The defaults with `config` applied, each value cast to its default's
+        type; ValueError names an unknown key."""
+        defaults = cls.defaults()
+        cfg = dict(defaults)
+        for key, val in (config or {}).items():
+            if key not in defaults:
+                raise ValueError(f"{cls.kind}: unknown config key {key!r}")
+            cfg[key] = type(defaults[key])(val) if defaults[key] is not None else val
+        return cfg
 
     def _setup(self) -> None:
         pass

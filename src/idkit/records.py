@@ -41,7 +41,7 @@ class EvalRecord:
     def to_json(self) -> str:
         payload = {
             "x": list(self.point.values),
-            "y": [float(v) for v in self.response],
+            "y": np.asarray(self.response, dtype=float).tolist(),
             "loss": float(self.loss),
             "trial": int(self.trial),
             "t": float(self.wall_time),
@@ -55,7 +55,7 @@ class EvalRecord:
         d = json.loads(line)
         return cls(
             point=DesignPoint(tuple(d["x"])),
-            response=tuple(float(v) for v in d["y"]),
+            response=tuple(map(float, d["y"])),
             loss=float(d["loss"]),
             trial=int(d["trial"]),
             wall_time=float(d.get("t", 0.0)),

@@ -2,7 +2,7 @@
 
 Everything here is plain numpy: a small fully connected network with
 rectified hidden layers and identity output, a minibatch SGD+momentum
-trainer that keeps the best-validation weights, exact reverse-mode input
+trainer that keeps the best-validation weights, exact reverse-mode
 gradients, and on top of those three inverse-design strategies:
 
 * ``train_inverse``   direct regression response -> encoded design;
@@ -11,6 +11,11 @@ gradients, and on top of those three inverse-design strategies:
 * ``gd_inverse``      multi-start projected gradient descent on the forward
                       surrogate, with categorical one-hot blocks relaxed to
                       the probability simplex and snapped to argmax at the end.
+
+The reverse mode is two passes, each forming only the products its callers
+read: ``DenseNet._backprop`` gives the weight and bias gradients (training),
+``DenseNet._input_grad`` the input gradient (``grad_input``, and the frozen
+forward net of the tandem loop).
 
 Designs enter the networks as :meth:`~idkit.space.DesignSpace.encode_units`
 features, the one feature map the toolkit has (Bayesian optimization's GP
@@ -121,28 +126,32 @@ class DenseNet:
             acts.append(np.maximum(z, 0.0) if i != last else z)
         return acts[-1], acts, zs
 
-    def _backprop(
-        self, acts: list, zs: list, delta: np.ndarray
-    ) -> tuple[list, list, np.ndarray]:
-        """Gradients of a loss whose output gradient is `delta`; also d loss/d input."""
+    def _backprop(self, acts: list, zs: list, delta: np.ndarray) -> tuple[list, list]:
+        """Weight and bias gradients of a loss whose output gradient is `delta`."""
         gw = [np.empty(0)] * len(self.weights)
         gb = [np.empty(0)] * len(self.weights)
         for i in range(len(self.weights) - 1, -1, -1):
             gw[i] = acts[i].T @ delta
             gb[i] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ self.weights[i].T) * (zs[i - 1] > 0.0)
+        return gw, gb
+
+    def _input_grad(self, zs: list, delta: np.ndarray) -> np.ndarray:
+        """Input gradient of a loss whose output gradient is `delta`."""
+        for i in range(len(self.weights) - 1, -1, -1):
             delta = delta @ self.weights[i].T
             if i > 0:
                 delta = delta * (zs[i - 1] > 0.0)
-        return gw, gb, delta
+        return delta
 
 
 def grad_input(model: DenseNet, x: np.ndarray, y_target: np.ndarray) -> np.ndarray:
     """Exact gradient of sum((model(x) - y_target)^2) with respect to x."""
     x = np.asarray(x, dtype=float)
-    pred, acts, zs = model._forward_cache(x.reshape(1, -1))
+    pred, _, zs = model._forward_cache(x.reshape(1, -1))
     delta = 2.0 * (pred - np.asarray(y_target, dtype=float).reshape(1, -1))
-    _, _, gx = model._backprop(acts, zs, delta)
-    return gx.reshape(x.shape)
+    return model._input_grad(zs, delta).reshape(x.shape)
 
 
 def encode_dataset(
@@ -166,15 +175,17 @@ def _fold_scalers(
     model: DenseNet,
     mu_x: np.ndarray,
     sd_x: np.ndarray,
-    mu_y: np.ndarray,
-    sd_y: np.ndarray,
+    mu_y: np.ndarray | None = None,
+    sd_y: np.ndarray | None = None,
 ) -> None:
     """Absorb affine input/output standardization into the edge layers so the
-    net maps raw coordinates even though it was trained on standardized ones."""
+    net maps raw coordinates even though it was trained on standardized ones.
+    Without output scalers only the input side is folded."""
     model.biases[0] = model.biases[0] - (mu_x / sd_x) @ model.weights[0]
     model.weights[0] = model.weights[0] / sd_x[:, None]
-    model.weights[-1] = model.weights[-1] * sd_y[None, :]
-    model.biases[-1] = model.biases[-1] * sd_y + mu_y
+    if sd_y is not None:
+        model.weights[-1] = model.weights[-1] * sd_y[None, :]
+        model.biases[-1] = model.biases[-1] * sd_y + mu_y
 
 
 def _sgd_loop(
@@ -245,10 +256,10 @@ def _sgd_loop(
             pred, acts, zs = model._forward_cache(xb)
             if forward_frozen is not None:
                 boxed = np.clip(pred, 0.0, 1.0)
-                f_out, f_acts, f_zs = forward_frozen._forward_cache(boxed)
+                f_out, _, f_zs = forward_frozen._forward_cache(boxed)
                 diff = f_out - yb
                 delta = 2.0 * diff / diff.size
-                _, _, delta = forward_frozen._backprop(f_acts, f_zs, delta)
+                delta = forward_frozen._input_grad(f_zs, delta)
                 # pull-back is deliberately stiff, otherwise the net can park
                 # just outside the box where the cycle gradient is masked off
                 delta = delta * (pred == boxed) + 20.0 * (pred - boxed) / pred.size
@@ -256,7 +267,7 @@ def _sgd_loop(
                 diff = pred - yb
                 delta = 2.0 * diff / diff.size
             running += float(np.mean((diff * sd_y) ** 2)) * xb.shape[0]
-            gw, gb, _ = model._backprop(acts, zs, delta)
+            gw, gb = model._backprop(acts, zs, delta)
             if cfg.head_lr_scale != 1.0:
                 gw[-1] = gw[-1] * cfg.head_lr_scale
                 gb[-1] = gb[-1] * cfg.head_lr_scale
@@ -284,7 +295,12 @@ def _sgd_loop(
         if val_loss < best_val:
             best_val = val_loss
             best = model.copy()
-    _fold_scalers(best, mu_x, sd_x, mu_y, sd_y)
+    if forward_frozen is None:
+        _fold_scalers(best, mu_x, sd_x, mu_y, sd_y)
+    else:
+        # mu_y and sd_y are the identity here, sized to the response, not to
+        # the net's design-wide output
+        _fold_scalers(best, mu_x, sd_x)
     return best, log
 
 

@@ -43,7 +43,7 @@ __all__ = [
     "SpectrumResult",
     "default_grid",
     "load_material",
-    "tables_digest",
+    "refresh_tables",
     "stack_spectrum",
     "motf_forward",
     "SUBSTRATE_MATERIAL",
@@ -171,33 +171,29 @@ def load_material(name: str) -> MaterialTable:
     return entry[1]
 
 
-def tables_digest() -> str:
-    """SHA-256 of the names and bytes of the ``.nk`` tables in the data directory.
+def refresh_tables() -> None:
+    """Bring the tables cached from the data directory up to date with its files.
 
-    The directory's cached tables are brought up to date with the bytes just
-    digested: a changed file's table is parsed again, a removed file's dropped.
+    A table whose file's SHA-256 changed is parsed again from the new bytes.
+    One whose file is gone or no longer parses is dropped, so the next solve
+    rereads the file and fails its point with the reason.
     """
     d = _data_dir()
-    try:
-        files = sorted(n for n in os.listdir(d) if n.endswith(".nk"))
-    except OSError:
-        files = []  # motf_forward fails every point
-    h = hashlib.sha256()
-    for file in files:
-        with open(os.path.join(d, file), "rb") as fh:
-            raw = fh.read()
-        sha = hashlib.sha256(raw).hexdigest()
-        h.update(f"{file}\0{sha}\0".encode())
-        key = (d, file[: -len(".nk")])
-        entry = _TABLES.get(key)
-        if entry is not None and entry[0] != sha:
+    for key, (sha, _) in list(_TABLES.items()):
+        if key[0] != d:
+            continue
+        try:
+            with open(os.path.join(d, f"{key[1]}.nk"), "rb") as fh:
+                raw = fh.read()
+        except OSError:
+            _TABLES.pop(key, None)
+            continue
+        new_sha = hashlib.sha256(raw).hexdigest()
+        if new_sha != sha:
             try:
-                _TABLES[key] = (sha, MaterialTable._parse(key[1], raw))
-            except ValueError:  # the next solve rereads the file and fails its point
+                _TABLES[key] = (new_sha, MaterialTable._parse(key[1], raw))
+            except ValueError:
                 _TABLES.pop(key, None)
-    for key in [k for k in list(_TABLES) if k[0] == d and f"{k[1]}.nk" not in files]:
-        _TABLES.pop(key, None)
-    return h.hexdigest()
 
 
 LayerSpec = tuple[Union[MaterialTable, complex, float], float]

@@ -316,6 +316,25 @@ class TestTrain:
         assert rc == 0
         _, meta = surrogate.load_model(str(data_dir / "scf_forward.bin"))
         assert meta["model"] == "forward"
+    def test_tandem_on_thin_films(self, data_dir, capsys):
+        from idkit import surrogate
+
+        ds = str(data_dir / "d.jsonl")
+        main(["gen-data", "--problem", "motf", "--n", "100", "--seed", "4", "--out", ds])
+        fwd = str(data_dir / "fwd.bin")
+        assert main(["train", "--problem", "motf", "--data", ds, "--epochs", "2",
+                     "--out", fwd]) == 0
+        out = str(data_dir / "tandem.bin")
+        rc = main(["train", "--problem", "motf", "--data", ds, "--model", "tandem",
+                   "--forward-model", fwd, "--epochs", "2", "--out", out])
+        assert rc == 0
+        assert "saved tandem model" in capsys.readouterr().out
+        model, meta = surrogate.load_model(out)
+        space = get_space("motf")
+        assert model.widths[0] == space.response_dim
+        assert model.widths[-1] == space.onehot_length
+        assert meta["model"] == "tandem"
+
     def test_tandem_needs_forward_model(self, data_dir):
         ds = str(data_dir / "d.jsonl")
         main(["gen-data", "--problem", "scf", "--n", "120", "--seed", "4",

@@ -228,6 +228,18 @@ class TestExperimentSpec:
             H.ExperimentSpec(problem="scf", algo="nope")
         assert H.ExperimentSpec(problem="scf", algo="TPE").algo == "TPE"  # as make_optimizer reads it
 
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_unknown_config_key_rejected_before_simulating(self, budget, monkeypatch):
+        from idkit.engine import Engine
+
+        calls = []
+        monkeypatch.setattr(Engine, "evaluate_batch", lambda self, pts: calls.append(pts))
+        with pytest.raises(ValueError, match=r"es: unknown config key 'mystery'"):
+            H.run_experiment(H.ExperimentSpec(problem="scf", algo="es", budget=budget,
+                                              seeds=(0, 1), config={"mystery": 1}))
+        assert calls == []
+        assert H.ExperimentSpec(problem="scf", algo="es", config={"sigma0": 0.2}).config
+
 
 class TestRunExperiment:
     def test_curves_cover_budget_and_never_increase(self):

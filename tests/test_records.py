@@ -1,5 +1,7 @@
 """Evaluation records and the JSON-lines on-disk format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,20 @@ class TestSerialization:
         r = EvalRecord(DesignPoint((1.0,)), np.array([1.5, 2.5]), 0.0, 0)
         back = EvalRecord.from_json(r.to_json())
         assert back.response == (1.5, 2.5)
+
+    @pytest.mark.parametrize("values", [(0.1, 1 / 3, 2**-40, 1e30, -0.0, 7), (0.25, np.nan)],
+                             ids=["finite", "nan"])
+    @pytest.mark.parametrize("container", [tuple, list, np.array,
+                                           lambda v: np.array(v, dtype=np.float32)],
+                             ids=["tuple", "list", "float64", "float32"])
+    def test_response_bytes_match_the_per_element_encoding(self, values, container):
+        response = container(values)
+        r = EvalRecord(DesignPoint(("SiO2", 0.5)), response, 0.5, 3, 0.25)
+        per_element = {"x": ["SiO2", 0.5], "y": [float(v) for v in response],
+                       "loss": 0.5, "trial": 3, "t": 0.25}
+        assert r.to_json() == json.dumps(per_element, separators=(",", ":"), sort_keys=True)
+        back = EvalRecord.from_json(r.to_json()).response
+        assert np.array_equal(back, [float(v) for v in response], equal_nan=True)
 
     def test_failed_flag_follows_meta(self):
         assert not rec(1.0, 0).failed

@@ -72,6 +72,61 @@ def test_grad_input_linear_closed_form():
     np.testing.assert_allclose(sg.grad_input(model, x, y), want, rtol=0, atol=1e-12)
 
 
+def _combined_backprop(model, acts, zs, delta):
+    """One pass forming every gradient: the reference for the split passes."""
+    gw, gb = [None] * len(model.weights), [None] * len(model.weights)
+    for i in range(len(model.weights) - 1, -1, -1):
+        gw[i] = acts[i].T @ delta
+        gb[i] = delta.sum(axis=0)
+        delta = delta @ model.weights[i].T
+        if i > 0:
+            delta = delta * (zs[i - 1] > 0.0)
+    return gw, gb, delta
+
+
+def test_weight_gradients_match_finite_differences():
+    rng = np.random.default_rng(7)
+    model = sg.DenseNet.init((3, 8, 8, 2), seed=2)
+    x = rng.uniform(0.0, 1.0, (5, 3))
+    assert all(_kink_free(model, row) for row in x)
+    y = rng.standard_normal((5, 2))
+
+    def loss(m):
+        return float(np.sum((m.forward(x) - y) ** 2))
+
+    pred, acts, zs = model._forward_cache(x)
+    gw, gb = model._backprop(acts, zs, 2.0 * (pred - y))
+    h = 1e-6
+    for grads, params in ((gw, "weights"), (gb, "biases")):
+        for i, g in enumerate(grads):
+            fd = np.empty_like(g)
+            for j in np.ndindex(g.shape):
+                plus, minus = model.copy(), model.copy()
+                getattr(plus, params)[i][j] += h
+                getattr(minus, params)[i][j] -= h
+                fd[j] = (loss(plus) - loss(minus)) / (2.0 * h)
+            rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
+            assert np.max(rel) <= 1e-6, (params, i)
+
+
+def test_split_passes_equal_the_combined_pass_exactly():
+    rng = np.random.default_rng(8)
+    model = sg.DenseNet.init((6, 32, 32, 4), seed=3)
+    x = rng.uniform(0.0, 1.0, 6)
+    y = rng.standard_normal(4)
+    pred, acts, zs = model._forward_cache(x.reshape(1, -1))
+    delta = 2.0 * (pred - y.reshape(1, -1))
+    assert np.array_equal(sg.grad_input(model, x, y), model._input_grad(zs, delta).reshape(6))
+
+    xb = rng.uniform(0.0, 1.0, (9, 6))
+    pred, acts, zs = model._forward_cache(xb)
+    delta = rng.standard_normal(pred.shape)
+    ref_gw, ref_gb, ref_gx = _combined_backprop(model, acts, zs, delta)
+    gw, gb = model._backprop(acts, zs, delta)
+    assert all(np.array_equal(a, b) for a, b in zip(gw + gb, ref_gw + ref_gb))
+    assert np.array_equal(model._input_grad(zs, delta), ref_gx)
+
+
 # -- trainer ------------------------------------------------------------------
 
 
@@ -183,6 +238,21 @@ def test_tandem_beats_inverse_on_two_branch_teacher():
     train_curve = np.array([entry[1] for entry in tlog])
     ma = np.convolve(train_curve, np.ones(5) / 5.0, mode="valid")
     assert np.all(ma[1:] <= ma[:-1] * 1.01)
+
+
+def test_tandem_with_a_design_narrower_than_the_response():
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((3, 5))
+    fwd = sg.DenseNet([A], [np.zeros(5)])
+    x = rng.uniform(0.1, 0.9, (600, 3))
+    y = x @ A
+    cfg = sg.TrainConfig(epochs=200, lr=0.1, hidden=(32, 32))
+    tnd, log = sg.train_tandem(fwd, y, cfg)
+    assert tnd.widths == (5, 32, 32, 3)
+    # the returned net maps raw responses: its cycle loss is the logged one's size
+    cycle = float(np.mean((fwd.forward(np.clip(tnd.forward(y), 0.0, 1.0)) - y) ** 2))
+    assert cycle <= 0.02 * float(np.mean((y - y.mean(axis=0)) ** 2))
+    assert cycle <= 2.0 * min(entry[2] for entry in log)
 
 
 # -- gradient-descent design ---------------------------------------------------

@@ -260,8 +260,8 @@ class TestMaterialDirOverride:
         with pytest.raises(SpaceError, match="unknown material"):
             load_material("SiC")  # only Custom.nk lives in the override dir
 
-    def test_digest_refreshes_the_tables_read_before(self, tmp_path, monkeypatch):
-        from idkit.tmm import _data_dir, tables_digest
+    def test_refresh_rereads_the_tables_read_before(self, tmp_path, monkeypatch):
+        from idkit.tmm import _data_dir, refresh_tables
 
         path = tmp_path / "Custom.nk"
         t = MaterialTable.from_text(os.path.join(_data_dir(), "SiO2.nk"))
@@ -270,14 +270,14 @@ class TestMaterialDirOverride:
         first = load_material("Custom")
         MaterialTable(t.name, t.wavelength_um, 1.1 * t.n, t.k).to_text(path)
         assert load_material("Custom") is first  # each table is read once
-        tables_digest()
+        refresh_tables()
         assert np.array_equal(load_material("Custom").n, MaterialTable.from_text(path).n)
         path.write_text("")
-        tables_digest()
+        refresh_tables()
         with pytest.raises(ValueError, match="need >= 2"):
             load_material("Custom")
         path.unlink()
-        tables_digest()
+        refresh_tables()
         with pytest.raises(SpaceError, match="unknown material"):
             load_material("Custom")
 
