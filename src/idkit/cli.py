@@ -44,10 +44,17 @@ def _parse_config_line(line: str, origin: str) -> tuple[str, str] | None:
 
 
 def _read_config_value(action: argparse.Action, value: str):
-    """A config string read as its flag reads it; a flag taking no value reads on/off."""
-    if action.nargs == 0:
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    return (action.type or str)(value)
+    """A config string read as its flag reads it; a value the flag rejects is a usage error."""
+    try:
+        parsed = (action.type or str)(value)
+    except ValueError as exc:
+        raise _usage_error(f"invalid value for config key {action.dest!r}: {exc}") from exc
+    if action.choices is not None and parsed not in action.choices:
+        raise _usage_error(
+            f"invalid value for config key {action.dest!r}: {value!r} is not one of "
+            f"{', '.join(map(str, action.choices))}"
+        )
+    return parsed
 
 
 def _apply_config(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:

@@ -13,7 +13,11 @@ entry point.  Every point of a batch is a job in one shared queue, and
 workers take jobs from it.  A batch with one point, or a binding with one
 worker, is served in the calling thread; otherwise ``min(workers, points)``
 threads serve the queue.  A reply of the wrong length or with a non-finite
-value fails its point, and so does a geometry raster that cannot be written.
+value fails its point.
+
+A request is ``{"id", "problem", "x"}`` and nothing more: an adapter whose
+solver needs the structure builds it from ``x`` (``idkit.shapes.tpv_layout``
+and ``scf_layout`` map a point to its supercell raster).
 
 Adapter children live as long as the engine: an external worker borrows an
 idle child from the engine, or spawns one when it takes its first job, and
@@ -28,9 +32,7 @@ leaving a ``with Engine(...)`` block) kills the idle children; an engine
 dropped without it has them killed when it is garbage collected.
 
 Results always come back in input order, one terminal record per point:
-either a response or a failure reason in the record's metadata.  With
-``send_geometry`` an adapter also gets each point's raster as a file in a
-temporary directory that lives for one batch.
+either a response or a failure reason in the record's metadata.
 """
 
 from __future__ import annotations
@@ -39,9 +41,7 @@ import json
 import os
 import select
 import shlex
-import shutil
 import subprocess
-import tempfile
 import threading
 import time
 import weakref
@@ -98,11 +98,14 @@ class SimulatorBinding:
     adapter_cmd: str | None = None
     timeout: float = 30.0
     sleep_s: float = 0.0
-    send_geometry: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not self.timeout > 0:
+            raise ValueError("timeout must be > 0")
+        if self.sleep_s < 0:
+            raise ValueError("sleep_s must be >= 0")
 
     @property
     def kind(self) -> str:
@@ -111,16 +114,11 @@ class SimulatorBinding:
         return "internal-motf" if self.problem == "motf" else "internal-synthetic"
 
 
-def _request_payload(
-    req_id: int, problem: str, point: DesignPoint, geometry: str | None
-) -> str:
+def _request_payload(req_id: int, problem: str, point: DesignPoint) -> str:
     xs: list = []
     for v in point.values:
         xs.append(v if isinstance(v, str) else float(v))
-    body: dict = {"id": req_id, "problem": problem, "x": xs}
-    if geometry is not None:
-        body["geometry"] = geometry
-    return json.dumps(body, separators=(",", ":"))
+    return json.dumps({"id": req_id, "problem": problem, "x": xs}, separators=(",", ":"))
 
 
 def _checked(y, dim: int) -> np.ndarray:
@@ -267,14 +265,11 @@ class Engine:
             time.sleep(self.binding.sleep_s)
         return synthetic_response(point, self.binding.problem)
 
-    def _call(
-        self, worker: _AdapterWorker | None, point: DesignPoint, geometry: str | None
-    ) -> np.ndarray:
+    def _call(self, worker: _AdapterWorker | None, point: DesignPoint) -> np.ndarray:
         """One checked reply from the internal simulator or the worker's child.
 
-        With a ``geometry`` path, the point's raster is written there and the
-        path is sent along.  Raises _PointFailed for a terminal per-point
-        failure and EngineError when the adapter worker is lost.
+        Raises _PointFailed for a terminal per-point failure and EngineError
+        when the adapter worker is lost.
         """
         if worker is None:
             try:
@@ -285,15 +280,7 @@ class Engine:
             with self._id_lock:
                 self._next_id += 1
                 req_id = self._next_id
-            if geometry is not None:
-                from .shapes import save_raster, scf_layout, tpv_layout
-
-                layout = tpv_layout if self.binding.problem == "tpv" else scf_layout
-                try:
-                    save_raster(layout(point), geometry)
-                except OSError as exc:
-                    raise _PointFailed(f"geometry raster not written: {exc}") from exc
-            y = worker.call(req_id, _request_payload(req_id, self.binding.problem, point, geometry))
+            y = worker.call(req_id, _request_payload(req_id, self.binding.problem, point))
         return _checked(y, self.space.response_dim)
 
     def evaluate_batch(
@@ -311,13 +298,6 @@ class Engine:
         cond = threading.Condition()
         in_flight = 0
         lost: list[str] = []
-        # rasters sent to the adapter live in a directory of this batch only
-        send_geometry = (
-            self.binding.kind == "external-adapter"
-            and self.binding.send_geometry
-            and self.binding.problem != "motf"
-        )
-        geom_dir = tempfile.mkdtemp(prefix="idkit-geom-") if todo and send_geometry else None
 
         def take() -> tuple[int, int] | None:
             nonlocal in_flight
@@ -333,9 +313,8 @@ class Engine:
         def run(worker: _AdapterWorker | None, i: int, attempt: int) -> bool:
             """Serve one job; False when the worker has lost its child."""
             t0 = time.monotonic()
-            geometry = None if geom_dir is None else os.path.join(geom_dir, f"g{i}.pgm")
             try:
-                y = self._call(worker, points[i], geometry)
+                y = self._call(worker, points[i])
             except _PointFailed as exc:
                 results[i] = _failed(points[i], str(exc), start_trial + i, time.monotonic() - t0)
                 return True
@@ -385,18 +364,14 @@ class Engine:
                 self._idle.append(worker)
 
         n_threads = min(self.binding.workers, len(todo))
-        try:
-            if n_threads == 1:
-                serve()
-            elif n_threads > 1:
-                threads = [threading.Thread(target=serve, daemon=True) for _ in range(n_threads)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-        finally:
-            if geom_dir is not None:
-                shutil.rmtree(geom_dir, ignore_errors=True)
+        if n_threads == 1:
+            serve()
+        elif n_threads > 1:
+            threads = [threading.Thread(target=serve, daemon=True) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
 
         unserved = "no adapter workers left"
         if lost:
@@ -423,7 +398,7 @@ def adapter_roundtrip(
     worker = _AdapterWorker(binding.adapter_cmd, binding.timeout)
     try:
         t0 = time.monotonic()
-        payload = _request_payload(1, binding.problem, point, None)
+        payload = _request_payload(1, binding.problem, point)
         try:
             y = _checked(worker.call(1, payload), dim)
         except _PointFailed as exc:

@@ -280,7 +280,8 @@ class ExperimentReport:
     ``curves[i][t]`` is the lowest loss seen by seed ``seeds[i]`` within the
     first ``t + 1`` simulator calls; every curve is non-increasing.  Aggregates
     are the pointwise mean and a normal-theory 95% halfwidth (1.96 s/sqrt(n)),
-    zero when seeds agree exactly or when only one seed ran.  ``train_best``
+    zero when seeds agree exactly, when only one seed ran, or at a trial where
+    some seed has no finite loss yet.  ``train_best``
     holds the per-seed baseline loss of the best dataset record when a dataset
     was supplied.  ``failed_seeds`` flags seeds whose session died; their
     curves are absent and the aggregates cover the survivors.
@@ -313,7 +314,10 @@ class ExperimentReport:
         arr = np.asarray(self.curves, dtype=float)
         if arr.shape[0] < 2:
             return np.zeros(arr.shape[1] if arr.ndim == 2 else 0)
-        s = arr.std(axis=0, ddof=1)
+        # no band where a seed has no finite loss yet (its curve is inf there)
+        finite = np.isfinite(arr).all(axis=0)
+        s = np.zeros(arr.shape[1])
+        s[finite] = arr[:, finite].std(axis=0, ddof=1)
         return 1.96 * s / np.sqrt(arr.shape[0])
 
     def final_losses(self) -> list[float]:

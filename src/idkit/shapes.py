@@ -13,9 +13,7 @@ one 8-connected background component (no holes).
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,8 +36,6 @@ __all__ = [
     "tpv_layout",
     "scf_layout",
     "subcell_rasters",
-    "save_raster",
-    "load_pgm",
 ]
 
 MIN_RADIUS_NM = 40.0
@@ -266,34 +262,3 @@ def subcell_rasters(
     """Each sub-cell rasterized alone onto the shared supercell grid."""
     polys = supercell_polygons(cell, radii)
     return [rasterize(p, extent=2.0 * cell, resolution=resolution) for p in polys]
-
-
-def save_raster(raster: SupercellRaster, path: str) -> None:
-    """Write a binary PGM (P5, top row first) plus a JSON sidecar."""
-    g = raster.grid
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{g.shape[1]} {g.shape[0]}\n255\n".encode("ascii"))
-        fh.write((g[::-1].astype(np.uint8) * 255).tobytes())
-    sidecar = {
-        "cell_nm": raster.cell_nm,
-        "extent_nm": raster.extent_nm,
-        "resolution": raster.resolution,
-        "x": list(raster.point.values),
-        "meta": raster.meta,
-    }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_pgm(path: str) -> np.ndarray:
-    """Read back a P5 raster as a boolean grid (bottom row first)."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise GeometryError(f"{os.path.basename(path)}: not a binary PGM")
-        dims = fh.readline().split()
-        w, hgt = int(dims[0]), int(dims[1])
-        fh.readline()  # maxval
-        data = np.frombuffer(fh.read(w * hgt), dtype=np.uint8).reshape(hgt, w)
-    return (data[::-1] > 0)

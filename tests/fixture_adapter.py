@@ -15,9 +15,8 @@ Modes:
                     SECONDS (default 0) after reading it
     short-y         answer with a one-value y whatever the problem
     nan-y           answer with the echo y, its first value replaced by NaN
-    geometry        answer with the echo y if the request's geometry path
-                    exists and holds a binary PGM (starts with P5), else
-                    with an error
+    strict          answer with the echo y if the request's keys are exactly
+                    id, problem and x, else with an error
 
 If FIXTURE_PID_DIR is set, every mode first creates an empty file named
 after its process id in that directory.
@@ -97,20 +96,14 @@ def main():
         serve(lambda r: json.dumps({"id": r["id"], "y": [0.5]}))
     elif mode == "nan-y":
         serve(lambda r: json.dumps({"id": r["id"], "y": [float("nan")] + echo_y(r)[1:]}))
-    elif mode == "geometry":
+    elif mode == "strict":
 
-        def check_geometry(r):
-            path = r.get("geometry")
-            try:
-                with open(path, "rb") as fh:
-                    ok = fh.read(2) == b"P5"
-            except (TypeError, OSError):
-                ok = False
-            if not ok:
-                return json.dumps({"id": r["id"], "error": f"no PGM at {path!r}"})
+        def check_keys(r):
+            if set(r) != {"id", "problem", "x"}:
+                return json.dumps({"id": r["id"], "error": f"unexpected keys {sorted(r)}"})
             return json.dumps({"id": r["id"], "y": echo_y(r)})
 
-        serve(check_geometry)
+        serve(check_keys)
     else:
         raise SystemExit(f"unknown fixture mode {mode!r}")
 

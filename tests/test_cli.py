@@ -171,6 +171,20 @@ class TestConfigMerging:
         assert exc.value.code == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_bad_value_exits_2_naming_the_key(self, data_dir, capsys):
+        cfg = data_dir / "exp.cfg"
+        cfg.write_text("budget = abc\n")
+        for source in (["--set", "budget=abc"], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--problem", "scf", "--algo", "rs", *source])
+            assert exc.value.code == 2
+            assert "'budget'" in capsys.readouterr().err
+        # a value outside the flag's choices
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--problem", "scf", "--data", "none.jsonl", "--set", "model=bogus"])
+        assert exc.value.code == 2
+        assert "'model'" in capsys.readouterr().err
+
     def test_malformed_set_exits_2(self, data_dir):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--problem", "scf", "--algo", "rs", "--set", "nonsense"])

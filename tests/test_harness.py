@@ -516,6 +516,24 @@ class TestEmitReport:
         assert "stroke-dasharray" in svg
         assert "train best" in svg
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_nan_band_where_a_seed_has_no_finite_loss(self, tmp_path):
+        target = tmp_path / "t.json"
+        target.write_text(json.dumps([0.5, 0.5, 0.5]))
+        failing = H.run_experiment(
+            H.ExperimentSpec(problem="scf", algo="rs", budget=3, seeds=(0, 1),
+                             target=str(target),
+                             adapter_cmd=f"{sys.executable} {FIXTURE} error-always")
+        )
+        inf = float("inf")
+        assert all(v == inf for c in failing.curves for v in c)
+        late = replace(failing, curves=((inf, 1.0, 0.5), (2.0, 2.0, 0.25)))
+        assert list(late.ci_halfwidth() > 0) == [False, True, True]
+        csv_path, svg_path = H.emit_report([failing, late], str(tmp_path / "out"))
+        for path in (csv_path, svg_path):
+            with open(path) as fh:
+                assert "nan" not in fh.read()
+
     def test_empty_report_list(self, tmp_path):
         csv_path, svg_path = H.emit_report([], str(tmp_path / "empty"))
         assert open(csv_path).read() == "algo,trial,mean,lo,hi\n"

@@ -1,6 +1,5 @@
 """Spline supercell geometry: curves, symmetry, rasters, connectivity."""
 
-import json
 import math
 
 import numpy as np
@@ -15,9 +14,7 @@ from idkit.shapes import (
     bspline_closed,
     check_simple,
     check_single_connected,
-    load_pgm,
     rasterize,
-    save_raster,
     scf_layout,
     subcell_rasters,
     subcell_shape,
@@ -245,22 +242,3 @@ class TestLayouts:
     def test_sixteen_radii_required(self):
         with pytest.raises(GeometryError, match="16 radii"):
             supercell_polygons(400.0, [100.0] * 15)
-
-
-class TestRasterIO:
-    def test_pgm_roundtrip(self, tmp_path):
-        raster = tpv_layout(TestLayouts().tpv_point())
-        path = str(tmp_path / "cell.pgm")
-        save_raster(raster, path)
-        back = load_pgm(path)
-        assert np.array_equal(back, raster.grid)
-        sidecar = json.loads((tmp_path / "cell.pgm.json").read_text())
-        assert sidecar["cell_nm"] == raster.cell_nm
-        assert sidecar["resolution"] == 256
-        assert len(sidecar["x"]) == 19
-
-    def test_load_rejects_non_pgm(self, tmp_path):
-        bad = tmp_path / "x.pgm"
-        bad.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
-        with pytest.raises(GeometryError):
-            load_pgm(str(bad))
