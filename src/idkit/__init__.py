@@ -29,7 +29,7 @@ from .space import (
     SpaceError,
     mse_loss,
 )
-from .problems import get_space, motf_space, problem_card, scf_space, tpv_space
+from .problems import get_space, motf_space, scf_space, tpv_space
 from .records import EvalRecord, dump_records, load_records
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ __all__ = [
     "motf_space",
     "tpv_space",
     "scf_space",
-    "problem_card",
     "EvalRecord",
     "dump_records",
     "load_records",

@@ -207,7 +207,8 @@ class _AdapterWorker:
         if "error" in msg:
             raise _PointFailed(str(msg["error"]))
         y = msg.get("y")
-        if not isinstance(y, list) or not all(isinstance(v, (int, float)) for v in y):
+        # bool is an int subclass, but true/false is not a response value
+        if not isinstance(y, list) or not all(type(v) in (int, float) for v in y):
             raise AdapterProtocolError(f"response lacks numeric 'y': {raw!r}")
         return [float(v) for v in y]
 

@@ -185,13 +185,6 @@ class BayesOpt(OptimizerSession):
     def _update(self, u: np.ndarray, loss: float, rec: EvalRecord, warm: bool) -> None:
         self._dirty = True
 
-    def posterior_at(self, point: DesignPoint) -> tuple[float, float]:
-        """Posterior mean/variance of the loss at a point (fits if needed)."""
-        if self._dirty:
-            self._sync()
-        mu, var = self.gp.posterior_raw(self.space.encode_units(self.space.normalize(point)))
-        return float(mu[0]), float(var[0])
-
     # -- acquisition -------------------------------------------------------------
 
     def _maximize_ei(self) -> np.ndarray:

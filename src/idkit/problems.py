@@ -1,4 +1,4 @@
-"""Built-in inverse-design problems: their spaces, cards, and simulators.
+"""Built-in inverse-design problems: their spaces and simulators.
 
 Three benchmark problems are bundled:
 
@@ -43,7 +43,6 @@ __all__ = [
     "tpv_space",
     "scf_space",
     "get_space",
-    "problem_card",
     "PROBLEM_NAMES",
 ]
 
@@ -101,31 +100,12 @@ def scf_space() -> DesignSpace:
 
 _SPACES = {"motf": motf_space, "tpv": tpv_space, "scf": scf_space}
 
-_CARD_NOTES = {
-    "motf": (
-        "layers ordered air side first; complex index convention N = n - i*k",
-        "substrate: optically thick Ag; response: normal-incidence emissivity 1-R-T",
-        "wavelength grid: 2001 points, 0.3 to 20 um inclusive",
-    ),
-    "tpv": (
-        "supercell 2*x0 square; four mirrored spline holes, tangent at max radius",
-        "response: 500-point geometry-derived spectrum stand-in",
-    ),
-    "scf": (
-        "supercell 2*x0 square on a 70 nm film; response: (x, y, Y) color triple",
-    ),
-}
-
 
 def get_space(problem: str) -> DesignSpace:
     try:
         return _SPACES[problem]()
     except KeyError:
         raise SpaceError(f"unknown problem {problem!r}; expected one of {PROBLEM_NAMES}") from None
-
-
-def problem_card(problem: str) -> str:
-    return get_space(problem).to_card(_CARD_NOTES.get(problem, ()))
 
 
 # -- synthetic responses for tpv / scf ----------------------------------------

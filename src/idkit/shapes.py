@@ -24,7 +24,6 @@ from .space import DesignPoint
 
 __all__ = [
     "GeometryError",
-    "SUBCELL_ANGLES",
     "ControlPolygon",
     "bspline_closed",
     "subcell_shape",
@@ -41,9 +40,6 @@ __all__ = [
 MIN_RADIUS_NM = 40.0
 DEFAULT_RESOLUTION = 256
 DEFAULT_CURVE_SAMPLES = 256
-
-# first-quadrant polar control angles; mirroring yields all (2j+1)*pi/16
-SUBCELL_ANGLES = (math.pi / 16, 3 * math.pi / 16, 5 * math.pi / 16, 7 * math.pi / 16)
 
 
 class GeometryError(ValueError):

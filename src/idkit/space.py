@@ -346,60 +346,6 @@ class DesignSpace:
             u[i] = vec[off]
         return self.denormalize(u)
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_card(self, notes: Sequence[str] = ()) -> str:
-        """Render the problem-card text form (key/value lines + choice lists)."""
-        lines = [f"problem = {self.name}", f"response_dim = {self.response_dim}"]
-        for p in self.params:
-            k = p.kind
-            if isinstance(k, Categorical):
-                lines.append(f"param = {p.name} categorical {' '.join(k.choices)}")
-            elif isinstance(k, Continuous):
-                lines.append(f"param = {p.name} continuous {k.lo!r} {k.hi!r} {k.unit}".rstrip())
-            else:
-                lines.append(
-                    f"param = {p.name} conditional {k.lo!r} {k.hi_ref} {k.hi_scale!r} {k.unit}".rstrip()
-                )
-        for n in notes:
-            lines.append(f"# note: {n}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_card(cls, text: str) -> "DesignSpace":
-        name = None
-        response_dim = None
-        params: list[ParamSpec] = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, rest = line.partition("=")
-            key, rest = key.strip(), rest.strip()
-            if key == "problem":
-                name = rest
-            elif key == "response_dim":
-                response_dim = int(rest)
-            elif key == "param":
-                toks = rest.split()
-                pname, ptype = toks[0], toks[1]
-                if ptype == "categorical":
-                    kind: ParamKind = Categorical(tuple(toks[2:]))
-                elif ptype == "continuous":
-                    unit = toks[4] if len(toks) > 4 else ""
-                    kind = Continuous(float(toks[2]), float(toks[3]), unit)
-                elif ptype == "conditional":
-                    unit = toks[5] if len(toks) > 5 else ""
-                    kind = ConditionalContinuous(float(toks[2]), toks[3], float(toks[4]), unit)
-                else:
-                    raise SpaceError(f"unknown parameter type {ptype!r}")
-                params.append(ParamSpec(pname, kind))
-            else:
-                raise SpaceError(f"unknown problem-card key {key!r}")
-        if name is None or response_dim is None:
-            raise SpaceError("problem card missing 'problem' or 'response_dim'")
-        return cls(name, params, response_dim)
-
 
 def mse_loss(y, y_target) -> float:
     """Sum of squared differences between two equal-length response vectors.

@@ -427,17 +427,26 @@ def save_model(model: DenseNet, path: str, meta: dict | None = None) -> None:
 
 def load_model(path: str) -> tuple[DenseNet, dict]:
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint (bad magic {magic!r})")
-        (n,) = struct.unpack("<I", fh.read(4))
-        widths = struct.unpack(f"<{n}I", fh.read(4 * n))
-        ws, bs = [], []
-        for din, dout in zip(widths[:-1], widths[1:]):
-            w = np.frombuffer(fh.read(8 * din * dout), dtype="<f8").reshape(din, dout)
-            b = np.frombuffer(fh.read(8 * dout), dtype="<f8")
-            ws.append(w.copy())
-            bs.append(b.copy())
+        raw = fh.read()
+    magic = raw[: len(CHECKPOINT_MAGIC)]
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a model checkpoint (bad magic {magic!r})")
+    # header: layer count n, then n widths; a header cut short declares only its own size
+    head = len(CHECKPOINT_MAGIC) + 4
+    (n,) = struct.unpack_from("<I", raw, head - 4) if len(raw) >= head else (0,)
+    head += 4 * n
+    widths = struct.unpack_from(f"<{n}I", raw, head - 4 * n) if len(raw) >= head else ()
+    layers = list(zip(widths[:-1], widths[1:]))
+    size = head + 8 * sum((din + 1) * dout for din, dout in layers)
+    if len(raw) != size:
+        fault = "truncated" if len(raw) < size else "has trailing bytes"
+        raise ValueError(f"{path}: checkpoint {fault}: expected {size} bytes, got {len(raw)}")
+    body = np.frombuffer(raw, "<f8", offset=head)
+    ws, bs = [], []
+    for din, dout in layers:
+        ws.append(body[: din * dout].reshape(din, dout).copy())
+        bs.append(body[din * dout : (din + 1) * dout].copy())
+        body = body[(din + 1) * dout :]
     try:
         with open(path + ".json", "r", encoding="utf-8") as fh:
             meta = json.load(fh)

@@ -1,15 +1,15 @@
 """Normal-incidence transfer-matrix solver for dispersive multilayer stacks.
 
-Conventions, also stated in the ``motf`` problem card:
+Conventions:
 
 * complex index N = n - i*k with k >= 0 for passive media, matching the
   engineering time convention exp(+i*omega*t);
 * phase thickness delta = 2*pi*N*d/lambda, characteristic matrix
   [[cos d, i sin d / N], [i N sin d, cos d]] per layer;
-* layers are listed from the ambient side down to the substrate;
-* reflectance R = |r|^2 with r = (n0*B - C)/(n0*B + C) where
+* the ambient is air; layers are listed from the air side to the substrate;
+* reflectance R = |r|^2 with r = (B - C)/(B + C) where
   [B, C]^T = (M_1 ... M_L) [1, N_s]^T, transmittance
-  T = 4*n0*Re(N_s)/|n0*B + C|^2, emissivity = 1 - R - T.
+  T = 4*Re(N_s)/|B + C|^2, emissivity = 1 - R - T.
 
 One kernel, ``_spectrum``, runs this recurrence for ``stack_spectrum`` and
 ``motf_forward`` alike, with one complex exponential per layer: cos delta and
@@ -95,11 +95,6 @@ class MaterialTable:
         object.__setattr__(self, "k", k)
 
     @classmethod
-    def from_text(cls, path) -> "MaterialTable":
-        with open(path, "rb") as fh:
-            return cls._parse(os.path.splitext(os.path.basename(str(path)))[0], fh.read())
-
-    @classmethod
     def _parse(cls, name: str, raw: bytes) -> "MaterialTable":
         rows = []
         for line in raw.decode("ascii").splitlines():
@@ -115,12 +110,6 @@ class MaterialTable:
             rows.append((float(lam), float(n), float(k)))
         arr = np.asarray(rows, dtype=float).reshape(-1, 3)
         return cls(name, arr[:, 0], arr[:, 1], arr[:, 2])
-
-    def to_text(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"# material {self.name}\n")
-            for lam, n, k in zip(self.wavelength_um, self.n, self.k):
-                fh.write(f"{lam:.9e} {n:.9e} {k:.9e}\n")
 
     def interp(self, lam_um) -> np.ndarray:
         """Complex index N = n - i*k at lam_um; out-of-range values clamp and warn."""
@@ -201,7 +190,7 @@ LayerSpec = tuple[Union[MaterialTable, complex, float], float]
 
 @dataclass(frozen=True)
 class LayerStack:
-    """Layers from ambient side to substrate; thicknesses in nm, >= 0.
+    """Layers from the air side to the substrate; thicknesses in nm, >= 0.
 
     Each layer is (material, thickness_nm) where material is a MaterialTable
     or a constant (possibly complex, N = n - i*k) index.  The substrate is
@@ -210,15 +199,12 @@ class LayerStack:
 
     layers: tuple[LayerSpec, ...]
     substrate: Union[MaterialTable, complex, float]
-    ambient_index: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
         for i, (_, d) in enumerate(self.layers):
             if not (math.isfinite(d) and d >= 0):
                 raise ValueError(f"layer {i}: thickness must be finite and >= 0, got {d}")
-        if self.ambient_index <= 0:
-            raise ValueError("ambient index must be positive")
 
 
 @dataclass(frozen=True)
@@ -238,8 +224,8 @@ def _index_at(material, lam: np.ndarray) -> np.ndarray:
     return np.full(lam.shape, complex(material))
 
 
-def _spectrum(lam: np.ndarray, n0: float, n_sub: np.ndarray, layers: list) -> tuple:
-    """(R, T) over lam; layers are (N, K = 2*pi*N/lam, d_um) from the ambient side.
+def _spectrum(lam: np.ndarray, n_sub: np.ndarray, layers: list) -> tuple:
+    """(R, T) over lam; layers are (N, K = 2*pi*N/lam, d_um) from the air side.
 
     [B, C] = (M_1 ... M_L) [1, N_s] is accumulated bottom layer first.
     """
@@ -257,9 +243,9 @@ def _spectrum(lam: np.ndarray, n0: float, n_sub: np.ndarray, layers: list) -> tu
         finite = np.isfinite(b) & np.isfinite(c)
         if not finite.all():
             raise TmmError(f"non-finite field after layer {layer} at lambda = {lam[~finite][0]:.6g} um")
-    denom = n0 * b + c
-    reflectance = np.abs((n0 * b - c) / denom) ** 2
-    transmittance = 4.0 * n0 * n_sub.real / np.abs(denom) ** 2
+    denom = b + c
+    reflectance = np.abs((b - c) / denom) ** 2
+    transmittance = 4.0 * n_sub.real / np.abs(denom) ** 2
     finite = np.isfinite(reflectance) & np.isfinite(transmittance)
     if not finite.all():
         raise TmmError(f"non-finite spectrum at lambda = {lam[~finite][0]:.6g} um")
@@ -279,7 +265,7 @@ def stack_spectrum(stack: LayerStack, grid: Sequence[float] | None = None) -> Sp
         idx = _index_at(mat, lam)
         layers.append((idx, 2.0 * np.pi * idx / lam, d_nm * 1e-3))
     n_sub = _index_at(stack.substrate, lam)
-    return SpectrumResult(lam, *_spectrum(lam, stack.ambient_index, n_sub, layers))
+    return SpectrumResult(lam, *_spectrum(lam, n_sub, layers))
 
 
 # -- the 20-parameter film-stack problem ---------------------------------------
@@ -299,5 +285,5 @@ def motf_forward(point: DesignPoint) -> np.ndarray:
         if mat not in MATERIALS:
             raise SpaceError(f"unknown material {mat!r}")
         layers.append((*load_material(mat)._on_grid, float(d_um)))
-    r, t = _spectrum(default_grid(), 1.0, load_material(SUBSTRATE_MATERIAL)._on_grid[0], layers)
+    r, t = _spectrum(default_grid(), load_material(SUBSTRATE_MATERIAL)._on_grid[0], layers)
     return 1.0 - r - t

@@ -15,6 +15,7 @@ Modes:
                     SECONDS (default 0) after reading it
     short-y         answer with a one-value y whatever the problem
     nan-y           answer with the echo y, its first value replaced by NaN
+    bool-y          answer with a y of JSON booleans
     strict          answer with the echo y if the request's keys are exactly
                     id, problem and x, else with an error
 
@@ -96,6 +97,8 @@ def main():
         serve(lambda r: json.dumps({"id": r["id"], "y": [0.5]}))
     elif mode == "nan-y":
         serve(lambda r: json.dumps({"id": r["id"], "y": [float("nan")] + echo_y(r)[1:]}))
+    elif mode == "bool-y":
+        serve(lambda r: json.dumps({"id": r["id"], "y": [True, False, True]}))
     elif mode == "strict":
 
         def check_keys(r):

@@ -22,7 +22,7 @@ from idkit.engine import (
 )
 from idkit.problems import get_space, synthetic_response
 from idkit.space import DesignPoint, mse_loss
-from idkit.tmm import MaterialTable, _data_dir, motf_forward
+from idkit.tmm import _data_dir, motf_forward
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixture_adapter.py")
 ECHO_CMD = f"{sys.executable} -m idkit.adapters"
@@ -168,8 +168,9 @@ class TestInternal:
         pts = sample_points("motf", 1, seed=89)
         first = Engine(binding).evaluate_batch(pts)[0]
         for name in os.listdir(tables):
-            t = MaterialTable.from_text(tables / name)
-            MaterialTable(t.name, t.wavelength_um, 1.1 * t.n, t.k).to_text(tables / name)
+            rows = np.loadtxt(tables / name)
+            rows[:, 1] *= 1.1
+            np.savetxt(tables / name, rows, fmt="%.9e")
         rec = Engine(binding).evaluate_batch(pts)[0]
         # simulated with the edited tables, not with those read before the edit
         assert not np.array_equal(rec.response, first.response)
@@ -218,6 +219,11 @@ class TestAdapterFaults:
         p = sample_points("scf", 1)[0]
         with pytest.raises(AdapterProtocolError, match="not json"):
             adapter_roundtrip(external_binding(cmd=fixture_cmd("garbage")), p)
+
+    def test_boolean_y_is_protocol_error(self):
+        p = sample_points("scf", 1)[0]
+        with pytest.raises(AdapterProtocolError, match="numeric 'y'"):
+            adapter_roundtrip(external_binding(cmd=fixture_cmd("bool-y")), p)
 
     def test_slow_adapter_times_out(self):
         p = sample_points("scf", 1)[0]

@@ -3,19 +3,12 @@
 import numpy as np
 import pytest
 
-from idkit.problems import (
-    MATERIALS,
-    PROBLEM_NAMES,
-    get_space,
-    problem_card,
-    synthetic_response,
-)
+from idkit.problems import MATERIALS, get_space, synthetic_response
 from idkit.space import (
     Categorical,
     ConditionalContinuous,
     Continuous,
     DesignPoint,
-    DesignSpace,
     SpaceError,
 )
 
@@ -69,20 +62,6 @@ class TestMetasurfaceSpaces:
     def test_unknown_problem_rejected(self):
         with pytest.raises(SpaceError, match="unknown problem"):
             get_space("meep")
-
-
-class TestCards:
-    @pytest.mark.parametrize("name", PROBLEM_NAMES)
-    def test_card_parses_back(self, name):
-        card = problem_card(name)
-        space = DesignSpace.from_card(card)
-        assert space.name == name
-        assert space.dim == get_space(name).dim
-
-    def test_film_card_states_units_and_substrate(self):
-        card = problem_card("motf")
-        assert "emissivity" in card
-        assert "2001" in card
 
 
 def mid_point(problem):

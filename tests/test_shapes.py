@@ -8,7 +8,6 @@ from scipy.spatial import ConvexHull
 
 from idkit.problems import get_space
 from idkit.shapes import (
-    SUBCELL_ANGLES,
     ControlPolygon,
     GeometryError,
     bspline_closed,
@@ -117,14 +116,6 @@ class TestSubcell:
             ControlPolygon((39.0, 100.0, 100.0, 100.0), cell=400.0)
         with pytest.raises(GeometryError):
             ControlPolygon((201.0, 100.0, 100.0, 100.0), cell=400.0)
-
-    def test_quadrant_angles_fixed(self):
-        assert SUBCELL_ANGLES == (
-            math.pi / 16,
-            3 * math.pi / 16,
-            5 * math.pi / 16,
-            7 * math.pi / 16,
-        )
 
 
 class TestRasterize:

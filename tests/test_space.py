@@ -1,4 +1,4 @@
-"""Design spaces: validation, sampling, codecs, cards, and the loss."""
+"""Design spaces: validation, sampling, codecs, and the loss."""
 
 import math
 
@@ -301,23 +301,3 @@ class TestLoss:
     def test_length_mismatch_raises(self):
         with pytest.raises(SpaceError):
             mse_loss([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-class TestCards:
-    @pytest.mark.parametrize("name", ALL_PROBLEMS)
-    def test_card_roundtrip_preserves_space(self, name):
-        space = get_space(name)
-        clone = DesignSpace.from_card(space.to_card())
-        assert clone.name == space.name
-        assert clone.response_dim == space.response_dim
-        assert clone.dim == space.dim
-        for p, q in zip(space.params, clone.params):
-            assert p.name == q.name
-            assert type(p.kind) is type(q.kind)
-            assert p.kind == q.kind
-
-    def test_card_rejects_unknown_keys(self):
-        with pytest.raises(SpaceError):
-            DesignSpace.from_card("problem = x\nresponse_dim = 1\nwhat = no\n")
-        with pytest.raises(SpaceError):
-            DesignSpace.from_card("response_dim = 1\n")

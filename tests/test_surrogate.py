@@ -1,5 +1,7 @@
 """Network trainer, input gradients, and the three inverse-design methods."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,29 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTAMODELxxxx")
     with pytest.raises(ValueError, match="magic"):
         sg.load_model(str(path))
+
+
+# cut inside the layer count, inside the widths, and inside the weights
+@pytest.mark.parametrize("cut,expected", [(10, 12), (14, 24), (1805, 1808)])
+def test_checkpoint_truncated_rejected(tmp_path, cut, expected):
+    path = str(tmp_path / "net.bin")
+    sg.save_model(sg.DenseNet.init((7, 20, 3), seed=6), path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(raw[:cut])
+    msg = f"{path}: checkpoint truncated: expected {expected} bytes, got {cut}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        sg.load_model(path)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = str(tmp_path / "net.bin")
+    sg.save_model(sg.DenseNet.init((7, 20, 3), seed=6), path)
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 8)
+    with pytest.raises(ValueError, match="has trailing bytes: expected 1808 bytes, got 1816"):
+        sg.load_model(path)
 
 
 def test_training_log_csv(tmp_path):

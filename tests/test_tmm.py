@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -76,6 +78,20 @@ class TestGridAndTables:
         for name in MATERIALS + ("Ag",):
             t = load_material(name)
             assert t.wavelength_um[0] <= 0.3 and t.wavelength_um[-1] >= 20.0
+
+    def test_generator_rewrites_the_bundled_tables_byte_for_byte(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        tool = os.path.join(root, "tools", "make_material_tables.py")
+        subprocess.run(
+            [sys.executable, tool, "--out-dir", str(tmp_path)], check=True, capture_output=True
+        )
+        bundled = os.path.join(root, "src", "idkit", "data", "materials")
+        names = sorted(os.listdir(bundled))
+        assert names == sorted(f"{m}.nk" for m in MATERIALS + ("Ag",))
+        assert sorted(os.listdir(tmp_path)) == names
+        for name in names:
+            with open(os.path.join(bundled, name), "rb") as fh:
+                assert (tmp_path / name).read_bytes() == fh.read(), name
 
     def test_unknown_material_raises(self):
         with pytest.raises(SpaceError, match="unknown material"):
@@ -255,8 +271,7 @@ class TestMaterialDirOverride:
         shutil.copy(os.path.join(bundled, "SiO2.nk"), tmp_path / "Custom.nk")
         monkeypatch.setenv("IDKIT_DATA_DIR", str(tmp_path))
         table = load_material("Custom")
-        ref_table = load_material_bundled_sio2(bundled)
-        assert np.array_equal(table.n, ref_table.n)
+        assert np.array_equal(table.n, np.loadtxt(os.path.join(bundled, "SiO2.nk"))[:, 1])
         with pytest.raises(SpaceError, match="unknown material"):
             load_material("SiC")  # only Custom.nk lives in the override dir
 
@@ -264,14 +279,15 @@ class TestMaterialDirOverride:
         from idkit.tmm import _data_dir, refresh_tables
 
         path = tmp_path / "Custom.nk"
-        t = MaterialTable.from_text(os.path.join(_data_dir(), "SiO2.nk"))
-        t.to_text(path)
+        rows = np.loadtxt(os.path.join(_data_dir(), "SiO2.nk"))
+        np.savetxt(path, rows, fmt="%.9e")
         monkeypatch.setenv("IDKIT_DATA_DIR", str(tmp_path))
         first = load_material("Custom")
-        MaterialTable(t.name, t.wavelength_um, 1.1 * t.n, t.k).to_text(path)
+        rows[:, 1] *= 1.1
+        np.savetxt(path, rows, fmt="%.9e")
         assert load_material("Custom") is first  # each table is read once
         refresh_tables()
-        assert np.array_equal(load_material("Custom").n, MaterialTable.from_text(path).n)
+        assert np.array_equal(load_material("Custom").n, np.loadtxt(path)[:, 1])
         path.write_text("")
         refresh_tables()
         with pytest.raises(ValueError, match="need >= 2"):
@@ -280,9 +296,3 @@ class TestMaterialDirOverride:
         refresh_tables()
         with pytest.raises(SpaceError, match="unknown material"):
             load_material("Custom")
-
-
-def load_material_bundled_sio2(bundled):
-    from idkit.tmm import MaterialTable
-
-    return MaterialTable.from_text(os.path.join(bundled, "SiO2.nk"))
