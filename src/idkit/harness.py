@@ -9,6 +9,7 @@ identical files, and re-running the same spec reproduces the same report hash.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -25,6 +26,11 @@ from .problems import PROBLEM_NAMES, get_space
 from .records import EvalRecord, dump_records, load_records
 from .space import DesignPoint, DesignSpace, mse_loss
 from .tmm import default_grid
+
+try:  # glibc's; elsewhere there is nothing to call
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (OSError, AttributeError):
+    _malloc_trim = None
 
 __all__ = [
     "DEFAULT_BUDGETS",
@@ -411,6 +417,17 @@ def _run_seed(
     return curve
 
 
+def _trim_heap() -> None:
+    """Hand the heap pages freed so far back to the OS.
+
+    malloc keeps up to twice its largest recent block free at the heap top, so
+    without this a seed's peak RSS depends on what the process freed before
+    it: a later allocation that does not fit there is mapped on top.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Execute the spec seed by seed and aggregate the curves into a report.
 
@@ -433,6 +450,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     failed: list[int] = []
     errors: list[str] = []
     for i, seed in enumerate(spec.seeds):
+        _trim_heap()
         record_path = (
             os.path.join(spec.out_dir, f"records_seed{seed}.jsonl")
             if spec.out_dir
@@ -446,6 +464,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             continue
         curves.append(tuple(curve))
         kept_seeds.append(seed)
+    _trim_heap()
     if not curves and spec.budget > 0:
         raise HarnessError("every seed failed: " + "; ".join(errors))
 

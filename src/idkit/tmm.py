@@ -97,7 +97,8 @@ class MaterialTable:
     @classmethod
     def _parse(cls, name: str, raw: bytes) -> "MaterialTable":
         rows = []
-        for line in raw.decode("ascii").splitlines():
+        source = f"{name}.nk"
+        for number, line in enumerate(raw.decode("ascii").splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -106,8 +107,13 @@ class MaterialTable:
                 if len(toks) >= 2 and toks[0] == "material":
                     name = toks[1]
                 continue
-            lam, n, k = line.split()
-            rows.append((float(lam), float(n), float(k)))
+            try:
+                lam, n, k = map(float, line.split())
+            except ValueError:
+                raise ValueError(
+                    f"{source} line {number}: expected 'lambda_um n k', got {line!r}"
+                ) from None
+            rows.append((lam, n, k))
         arr = np.asarray(rows, dtype=float).reshape(-1, 3)
         return cls(name, arr[:, 0], arr[:, 1], arr[:, 2])
 

@@ -176,6 +176,19 @@ class TestInternal:
         assert not np.array_equal(rec.response, first.response)
         assert np.array_equal(rec.response, motf_forward(pts[0]))
 
+    def test_malformed_table_row_fails_the_point_naming_file_and_line(self, tmp_path, monkeypatch):
+        tables = tmp_path / "tables"
+        shutil.copytree(_data_dir(), tables)
+        lines = (tables / "SiO2.nk").read_text().splitlines()
+        lines[5] = " ".join(lines[5].split()[:2])  # line 6 loses its k column
+        (tables / "SiO2.nk").write_text("\n".join(lines) + "\n")
+        monkeypatch.setenv("IDKIT_DATA_DIR", str(tables))
+        pt = next(p for p in sample_points("motf", 50, seed=5) if "SiO2" in p.values)
+        rec = Engine(SimulatorBinding(problem="motf")).evaluate_batch([pt])[0]
+        assert rec.failed
+        reason = f"ValueError: SiO2.nk line 6: expected 'lambda_um n k', got {lines[5]!r}"
+        assert rec.meta["error"] == reason
+
 
 class TestEchoAdapter:
     def test_roundtrip_returns_exact_coordinates(self):

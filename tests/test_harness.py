@@ -287,6 +287,12 @@ class TestRunExperiment:
         )
         assert rep.curves[0] != rep.curves[1]
 
+    def test_freed_heap_handed_back_once_the_seeds_are_done(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(H, "_malloc_trim", calls.append)
+        H.run_experiment(H.ExperimentSpec(problem="scf", algo="rs", budget=3, seeds=(0, 1)))
+        assert calls == [0, 0, 0]  # before each seed and after the last
+
     def test_warm_start_keeps_budget_and_rescores(self, tmp_path):
         ds = str(tmp_path / "ds.jsonl")
         H.generate_dataset("scf", 30, seed=4, path=ds)

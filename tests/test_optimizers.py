@@ -281,3 +281,23 @@ def test_importing_idkit_first_gives_one_blas_thread():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1"]
+
+
+# which scipy modules `import idkit.cli` loads, then whether a BO session
+# still gets its own on first use
+LAZY_SCIPY = """
+import sys
+import idkit.cli
+print(*[m for m in ("scipy.optimize", "scipy.linalg", "scipy.special") if m in sys.modules])
+from idkit.optimizers import make_optimizer
+from idkit.problems import get_space
+make_optimizer("bo", get_space("scf"), seed=0).ask(1)
+print("scipy.optimize" in sys.modules, "scipy.linalg" in sys.modules)
+"""
+
+
+def test_importing_the_cli_loads_no_optimizer_scipy():
+    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", "True True"]
