@@ -193,7 +193,7 @@ def _cmd_eval(ns) -> int:
     with Engine(SimulatorBinding(ns.problem, adapter_cmd=ns.adapter_cmd)) as engine:
         record = engine.evaluate_batch([point], target=target)[0]
     if record.failed:
-        print(f"error: evaluation failed: {record.meta.get('error')}", file=sys.stderr)
+        print(f"error: evaluation failed: {record.error}", file=sys.stderr)
         return 1
     print(f"loss={record.loss:.12g}")
     return 0

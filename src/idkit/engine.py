@@ -32,7 +32,7 @@ leaving a ``with Engine(...)`` block) kills the idle children; an engine
 dropped without it has them killed when it is garbage collected.
 
 Results always come back in input order, one terminal record per point:
-either a response or a failure reason in the record's metadata.
+either a response or a failure reason in the record's ``error``.
 """
 
 from __future__ import annotations
@@ -131,17 +131,13 @@ def _checked(y, dim: int) -> np.ndarray:
     return arr
 
 
-def _finish(
-    point: DesignPoint, y: np.ndarray, target: np.ndarray | None, trial: int, dt: float
-) -> EvalRecord:
+def _finish(point: DesignPoint, y: np.ndarray, target: np.ndarray | None, trial: int) -> EvalRecord:
     loss = mse_loss(y, target if target is not None else np.zeros_like(y))
-    return EvalRecord(point, y, loss, trial, wall_time=dt)
+    return EvalRecord(point, y, loss, trial)
 
 
-def _failed(point: DesignPoint, reason: str, trial: int, dt: float) -> EvalRecord:
-    return EvalRecord(
-        point, np.zeros(0), float("inf"), trial, wall_time=dt, meta={"error": reason}
-    )
+def _failed(point: DesignPoint, reason: str, trial: int) -> EvalRecord:
+    return EvalRecord(point, np.zeros(0), float("inf"), trial, error=reason)
 
 
 class _AdapterWorker:
@@ -313,11 +309,10 @@ class Engine:
 
         def run(worker: _AdapterWorker | None, i: int, attempt: int) -> bool:
             """Serve one job; False when the worker has lost its child."""
-            t0 = time.monotonic()
             try:
                 y = self._call(worker, points[i])
             except _PointFailed as exc:
-                results[i] = _failed(points[i], str(exc), start_trial + i, time.monotonic() - t0)
+                results[i] = _failed(points[i], str(exc), start_trial + i)
                 return True
             except EngineError as exc:
                 reason = f"adapter worker lost: {exc}"
@@ -326,9 +321,9 @@ class Engine:
                     with cond:
                         todo.append((i, attempt + 1))
                 else:
-                    results[i] = _failed(points[i], reason, start_trial + i, time.monotonic() - t0)
+                    results[i] = _failed(points[i], reason, start_trial + i)
                 return False
-            results[i] = _finish(points[i], y, target, start_trial + i, time.monotonic() - t0)
+            results[i] = _finish(points[i], y, target, start_trial + i)
             return True
 
         def serve() -> None:
@@ -378,7 +373,7 @@ class Engine:
         if lost:
             unserved += f" (last error: {lost[-1]})"
         return [
-            rec if rec is not None else _failed(points[i], unserved, start_trial + i, 0.0)
+            rec if rec is not None else _failed(points[i], unserved, start_trial + i)
             for i, rec in enumerate(results)
         ]
 
@@ -398,15 +393,14 @@ def adapter_roundtrip(
     dim = get_space(binding.problem).response_dim
     worker = _AdapterWorker(binding.adapter_cmd, binding.timeout)
     try:
-        t0 = time.monotonic()
         payload = _request_payload(1, binding.problem, point)
         try:
             y = _checked(worker.call(1, payload), dim)
         except _PointFailed as exc:
             # an error payload or an unusable reply is a valid per-point
             # outcome, not a protocol breach
-            return _failed(point, str(exc), 0, time.monotonic() - t0)
-        return _finish(point, y, target, 0, time.monotonic() - t0)
+            return _failed(point, str(exc), 0)
+        return _finish(point, y, target, 0)
     finally:
         worker.close()
 

@@ -79,10 +79,9 @@ def generate_dataset(
     """Draw n uniform points, evaluate them, and return (optionally write) records.
 
     The draw order is fixed by the seed and the evaluation preserves it, so the
-    same call yields byte-identical files at any worker count.  Wall times are
-    zeroed before writing for the same reason.  Losses are taken against the
-    zero response (a dataset has no target of its own); consumers re-score
-    against whatever target they care about.
+    same call yields byte-identical files at any worker count.  Losses are
+    taken against the zero response (a dataset has no target of its own);
+    consumers re-score against whatever target they care about.
 
     Raises :class:`HarnessError` when more than ``max_failure_rate`` of the
     evaluations fail, listing the failure reasons.
@@ -95,10 +94,9 @@ def generate_dataset(
     points = [space.sample_uniform(rng) for _ in range(n)]
     with Engine(binding) as engine:
         records = engine.evaluate_batch(points, target=None)
-    records = [r.with_zero_time() for r in records]
     failures = [r for r in records if r.failed]
     if len(failures) > max_failure_rate * n:
-        reasons = sorted({str(r.meta.get("error")) for r in failures})
+        reasons = sorted({r.error for r in failures})
         raise HarnessError(
             f"{len(failures)}/{n} evaluations failed "
             f"(limit {max_failure_rate:.0%}): " + "; ".join(reasons[:5])
@@ -380,6 +378,19 @@ class ExperimentReport:
             return cls.from_json(fh.read())
 
 
+def _load_dataset(path: str, space: DesignSpace) -> list[EvalRecord]:
+    """The records at `path`, checked against the space before anything is simulated."""
+    records = load_records(path)
+    for r in records:
+        n_x, n_y = len(r.point.values), len(r.response)
+        if n_x != space.dim or (n_y != space.response_dim and not r.failed):
+            raise ValueError(
+                f"{path}: trial {r.trial} has {n_x} design and {n_y} response values, "
+                f"{space.name} has {space.dim} and {space.response_dim}"
+            )
+    return records
+
+
 def _run_seed(
     spec: ExperimentSpec,
     seed: int,
@@ -413,7 +424,7 @@ def _run_seed(
             kept.extend(records)
             done += len(records)
     if record_path is not None:
-        dump_records(record_path, [r.with_zero_time() for r in kept])
+        dump_records(record_path, kept)
     return curve
 
 
@@ -440,8 +451,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """
     space = get_space(spec.problem)
     binding = SimulatorBinding(spec.problem, workers=spec.workers, adapter_cmd=spec.adapter_cmd)
+    dataset = _load_dataset(spec.dataset_path, space) if spec.dataset_path else None
     targets = _resolve_targets(spec, space, binding)
-    dataset = load_records(spec.dataset_path) if spec.dataset_path else None
     if spec.out_dir:
         os.makedirs(spec.out_dir, exist_ok=True)
 

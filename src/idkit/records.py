@@ -2,27 +2,24 @@
 
 One :class:`EvalRecord` captures a single simulator call: the design point,
 the raw response, the scalar loss against the active target, the trial index,
-and the wall time.  The line format is one JSON object per record with keys
-``x``, ``y``, ``loss``, ``trial``, ``t`` (plus an optional ``meta`` object for
-failure reasons and similar annotations).  Files are plain JSON lines so a
-partial file is still readable after a crash; readers skip blank lines.
+and, for a failed call, the reason.  The line format is one JSON object per
+record with keys ``x``, ``y``, ``loss`` and ``trial``; a failed call adds
+``"meta":{"error": reason}``.  Files are plain JSON lines so a partial file is
+still readable after a crash; readers skip blank lines.  Lines of earlier
+versions load unchanged: their wall-time key ``t`` is ignored.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .space import DesignPoint
 
-__all__ = [
-    "EvalRecord",
-    "dump_records",
-    "load_records",
-]
+__all__ = ["EvalRecord", "dump_records", "load_records"]
 
 
 @dataclass(frozen=True)
@@ -31,12 +28,11 @@ class EvalRecord:
     response: Sequence[float] | np.ndarray
     loss: float
     trial: int
-    wall_time: float = 0.0
-    meta: dict = field(default_factory=dict)
+    error: str | None = field(default=None, kw_only=True)
 
     @property
     def failed(self) -> bool:
-        return "error" in self.meta
+        return self.error is not None
 
     def to_json(self) -> str:
         payload = {
@@ -44,10 +40,9 @@ class EvalRecord:
             "y": np.asarray(self.response, dtype=float).tolist(),
             "loss": float(self.loss),
             "trial": int(self.trial),
-            "t": float(self.wall_time),
         }
-        if self.meta:
-            payload["meta"] = self.meta
+        if self.error is not None:
+            payload["meta"] = {"error": self.error}
         return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
     @classmethod
@@ -58,16 +53,11 @@ class EvalRecord:
             response=tuple(map(float, d["y"])),
             loss=float(d["loss"]),
             trial=int(d["trial"]),
-            wall_time=float(d.get("t", 0.0)),
-            meta=d.get("meta", {}),
+            error=d.get("meta", {}).get("error"),
         )
 
     def response_array(self) -> np.ndarray:
         return np.asarray(self.response, dtype=float)
-
-    def with_zero_time(self) -> "EvalRecord":
-        """Copy with t = 0.0, for byte-reproducible dataset files."""
-        return replace(self, wall_time=0.0)
 
 
 def dump_records(path, records: Iterable[EvalRecord]) -> None:
@@ -77,10 +67,13 @@ def dump_records(path, records: Iterable[EvalRecord]) -> None:
 
 
 def load_records(path) -> list[EvalRecord]:
+    """The file's records; a line that is not one raises ValueError naming file and line."""
     out: list[EvalRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(EvalRecord.from_json(line))
+        for n, line in enumerate(map(str.strip, fh), 1):
+            try:
+                if line:
+                    out.append(EvalRecord.from_json(line))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(f"{path} line {n}: {type(exc).__name__}: {exc}") from exc
     return out

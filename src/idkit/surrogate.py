@@ -304,30 +304,31 @@ def _sgd_loop(
     return best, log
 
 
+def _regress(
+    inputs: np.ndarray, outputs: np.ndarray, cfg: TrainConfig
+) -> tuple[DenseNet, list[tuple[int, float, float]]]:
+    """Fit inputs -> outputs by plain regression on a fresh net."""
+    inputs = np.asarray(inputs, dtype=float)
+    outputs = np.asarray(outputs, dtype=float)
+    if inputs.shape[0] != outputs.shape[0] or inputs.shape[0] < 100:
+        raise ValueError("need matched x/y with at least 100 rows")
+    widths = (inputs.shape[1],) + cfg.hidden + (outputs.shape[1],)
+    model = DenseNet.init(widths, cfg.seed)
+    return _sgd_loop(model, inputs, outputs, cfg)
+
+
 def train_forward(
     x_enc: np.ndarray, y: np.ndarray, cfg: TrainConfig = TrainConfig()
 ) -> tuple[DenseNet, list[tuple[int, float, float]]]:
     """Fit design -> response; returns (best-validation model, training log)."""
-    x_enc = np.asarray(x_enc, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x_enc.shape[0] != y.shape[0] or x_enc.shape[0] < 100:
-        raise ValueError("need matched x/y with at least 100 rows")
-    widths = (x_enc.shape[1],) + cfg.hidden + (y.shape[1],)
-    model = DenseNet.init(widths, cfg.seed)
-    return _sgd_loop(model, x_enc, y, cfg)
+    return _regress(x_enc, y, cfg)
 
 
 def train_inverse(
     x_enc: np.ndarray, y: np.ndarray, cfg: TrainConfig = TrainConfig()
 ) -> tuple[DenseNet, list[tuple[int, float, float]]]:
     """Fit response -> design by plain regression (the direct inverse model)."""
-    x_enc = np.asarray(x_enc, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x_enc.shape[0] != y.shape[0] or x_enc.shape[0] < 100:
-        raise ValueError("need matched x/y with at least 100 rows")
-    widths = (y.shape[1],) + cfg.hidden + (x_enc.shape[1],)
-    model = DenseNet.init(widths, cfg.seed)
-    return _sgd_loop(model, y, x_enc, cfg)
+    return _regress(y, x_enc, cfg)
 
 
 def train_tandem(

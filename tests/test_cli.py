@@ -102,6 +102,21 @@ class TestGenDataSplitTargets:
             sizes[part] = len(load_records(str(data_dir / f"d.{part}.jsonl")))
         assert sizes == {"train": 33, "val": 3, "test": 4}
 
+    def test_cut_data_file_names_file_and_line(self, data_dir, capsys):
+        src = data_dir / "d.jsonl"
+        main(["gen-data", "--problem", "scf", "--n", "10", "--seed", "0", "--out", str(src)])
+        lines = src.read_text().splitlines()
+        lines[5] = lines[5][: lines[5].index('"x":[') + 8]
+        src.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for argv in (["split", "--data", str(src)],
+                     ["run", "--problem", "scf", "--algo", "rs", "--budget", "3", "--seeds", "1",
+                      "--data", str(src), "--out", str(data_dir / "run")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {src} line 6: JSONDecodeError: ")
+        assert not (data_dir / "run").exists()
+
     def test_targets_match_library_call(self, data_dir):
         out = str(data_dir / "t.jsonl")
         rc = main(["targets", "--problem", "scf", "--k", "3", "--seed", "8",

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -20,13 +21,14 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixture_adapter.py")
 
 
 class TestGenerateDataset:
-    def test_exact_count_and_zeroed_times(self, tmp_path):
+    def test_exact_count_and_no_wall_time(self, tmp_path):
         path = str(tmp_path / "ds.jsonl")
         recs = H.generate_dataset("scf", 40, seed=5, path=path)
         assert len(recs) == 40
         assert [r.trial for r in recs] == list(range(40))
-        assert all(r.wall_time == 0.0 for r in recs)
         assert len(load_records(path)) == 40
+        with open(path, encoding="utf-8") as fh:
+            assert all(set(json.loads(line)) == {"x", "y", "loss", "trial"} for line in fh)
 
     def test_byte_identical_across_runs_and_worker_counts(self, tmp_path):
         p1, p2, p4 = (str(tmp_path / f"ds{w}.jsonl") for w in (1, 2, 4))
@@ -187,7 +189,7 @@ class TestTrainBest:
         good = EvalRecord(point=space.sample_uniform(rng), response=(5.0, 5.0, 5.0),
                           loss=0.0, trial=0)
         bad = EvalRecord(point=space.sample_uniform(rng), response=(),
-                         loss=float("inf"), trial=1, meta={"error": "boom"})
+                         loss=float("inf"), trial=1, error="boom")
         best = H.train_best([bad, good], np.zeros(3))
         assert best.trial == 0
 
@@ -195,7 +197,7 @@ class TestTrainBest:
         space = get_space("scf")
         rng = np.random.default_rng(0)
         bad = EvalRecord(point=space.sample_uniform(rng), response=(),
-                         loss=float("inf"), trial=0, meta={"error": "x"})
+                         loss=float("inf"), trial=0, error="x")
         with pytest.raises(ValueError):
             H.train_best([bad], np.zeros(3))
 
@@ -302,6 +304,39 @@ class TestRunExperiment:
         )
         # warm records cost nothing: the curve still spans the full budget
         assert len(rep.curves[0]) == 12
+
+    @pytest.mark.parametrize("warm_start_k", [0, 2])
+    def test_dataset_of_another_problem_rejected_before_simulating(
+        self, tmp_path, monkeypatch, warm_start_k
+    ):
+        from idkit.engine import Engine
+
+        motf, scf = get_space("motf"), get_space("scf")
+        rng = np.random.default_rng(0)
+        ds = tmp_path / "ds.jsonl"
+        ds.write_text("".join(
+            EvalRecord(motf.sample_uniform(rng), np.zeros(2001), 0.0, t).to_json() + "\n"
+            for t in range(3)
+        ))
+        calls = []
+        monkeypatch.setattr(Engine, "evaluate_batch", lambda self, *a, **k: calls.append(a))
+        out = tmp_path / "out"
+        spec = H.ExperimentSpec(problem="scf", algo="rs", budget=30, seeds=(0, 1),
+                                warm_start_k=warm_start_k, dataset_path=str(ds), out_dir=str(out))
+        msg = f"{ds}: trial 0 has 20 design and 2001 response values, scf has 18 and 3"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            H.run_experiment(spec)
+        assert calls == []
+        assert not out.exists()
+
+        # right design width, wrong response width; a failed record needs no response
+        lines = [EvalRecord(scf.sample_uniform(rng), (), np.inf, 0, error="boom"),
+                 EvalRecord(scf.sample_uniform(rng), np.zeros(2001), 0.0, 1)]
+        ds.write_text("".join(r.to_json() + "\n" for r in lines))
+        with pytest.raises(ValueError, match=re.escape(f"{ds}: trial 1 has 18 design and 2001 ")):
+            H.run_experiment(spec)
+        assert calls == []
+        assert not out.exists()
 
     def test_budget_zero_is_baselines_only(self, tmp_path):
         ds = str(tmp_path / "ds.jsonl")

@@ -250,7 +250,7 @@ class TestBayesOpt:
             for t in range(8):
                 (pt,) = session.ask(1)
                 assert space.validate(pt).ok
-                failed = EvalRecord(pt, (), float("inf"), t, meta={"error": "solver failed"})
+                failed = EvalRecord(pt, (), float("inf"), t, error="solver failed")
                 session.tell([failed])
 
 

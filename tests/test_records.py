@@ -1,6 +1,7 @@
 """Evaluation records and the JSON-lines on-disk format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,27 +14,20 @@ from idkit.records import (
 from idkit.space import DesignPoint
 
 
-def rec(loss, trial, meta=None, t=0.125):
+def rec(loss, trial, error=None):
     return EvalRecord(
         point=DesignPoint(("SiO2", 0.5)),
         response=(0.1, 0.2, 0.3),
         loss=loss,
         trial=trial,
-        wall_time=t,
-        meta=meta or {},
+        error=error,
     )
 
 
 class TestSerialization:
     def test_json_roundtrip_is_exact(self):
-        r = rec(0.1 + 0.2, 7, meta={"cache": "hit"})
-        back = EvalRecord.from_json(r.to_json())
-        assert back.point.values == r.point.values
-        assert back.response == r.response
-        assert back.loss == r.loss
-        assert back.trial == r.trial
-        assert back.wall_time == r.wall_time
-        assert back.meta == r.meta
+        for r in (rec(0.1 + 0.2, 7), rec(0.1 + 0.2, 7, error="solver crashed")):
+            assert EvalRecord.from_json(r.to_json()) == r
 
     def test_float_values_survive_reprs(self):
         vals = (1 / 3, 2**-40, 1e300)
@@ -54,22 +48,42 @@ class TestSerialization:
                              ids=["tuple", "list", "float64", "float32"])
     def test_response_bytes_match_the_per_element_encoding(self, values, container):
         response = container(values)
-        r = EvalRecord(DesignPoint(("SiO2", 0.5)), response, 0.5, 3, 0.25)
+        r = EvalRecord(DesignPoint(("SiO2", 0.5)), response, 0.5, 3)
         per_element = {"x": ["SiO2", 0.5], "y": [float(v) for v in response],
-                       "loss": 0.5, "trial": 3, "t": 0.25}
+                       "loss": 0.5, "trial": 3}
         assert r.to_json() == json.dumps(per_element, separators=(",", ":"), sort_keys=True)
         back = EvalRecord.from_json(r.to_json()).response
         assert np.array_equal(back, [float(v) for v in response], equal_nan=True)
 
     def test_failed_flag_follows_meta(self):
+        # on disk the reason sits in a "meta" object
         assert not rec(1.0, 0).failed
-        assert rec(1.0, 0, meta={"error": "boom"}).failed
+        assert rec(1.0, 0, error="boom").failed
+        line = '{"loss":Infinity,"meta":{"error":"boom"},"trial":0,"x":[0.5],"y":[]}'
+        assert EvalRecord.from_json(line).failed
+        assert not EvalRecord.from_json('{"loss":1.0,"meta":{},"trial":0,"x":[0.5],"y":[]}').failed
 
-    def test_with_zero_time_resets_only_time(self):
-        r = rec(2.0, 3, t=0.7)
-        z = r.with_zero_time()
-        assert z.wall_time == 0.0
-        assert (z.loss, z.trial, z.response) == (r.loss, r.trial, r.response)
+    def test_failed_record_bytes(self):
+        r = EvalRecord(DesignPoint(("SiO2", 0.5)), (), float("inf"), 2, error="boom")
+        assert r.to_json() == (
+            '{"loss":Infinity,"meta":{"error":"boom"},"trial":2,"x":["SiO2",0.5],"y":[]}'
+        )
+
+    def test_line_of_an_earlier_version_loads(self):
+        # earlier versions wrote a wall time "t"; it is ignored
+        line = ('{"loss":Infinity,"meta":{"error":"boom"},"t":0.125,"trial":4,'
+                '"x":["SiO2",0.5],"y":[0.1,0.2]}')
+        r = EvalRecord.from_json(line)
+        assert r.point.values == ("SiO2", 0.5)
+        assert r.response == (0.1, 0.2)
+        assert r.loss == float("inf")
+        assert r.trial == 4
+        assert r.error == "boom"
+        assert EvalRecord.from_json(line.replace('"meta":{"error":"boom"},', "")).error is None
+
+    def test_error_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            EvalRecord(DesignPoint((0.5,)), (), 1.0, 0, 0.125)
 
     def test_one_object_per_line_no_newlines_inside(self):
         assert "\n" not in rec(1.0, 0).to_json()
@@ -99,3 +113,18 @@ class TestFiles:
             load_records(path)
         path.write_text(rec(1.0, 0).to_json() + "\n")
         assert len(load_records(path)) == 1
+
+    def test_bad_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        lines = [rec(float(i), i).to_json() for i in range(6)]
+        lines[5] = lines[5][: lines[5].index("SiO2") + 2]  # cut inside a string
+        path.write_text("\n".join(lines) + "\n")
+        match = rf"^{re.escape(str(path))} line 6: JSONDecodeError: Unterminated string"
+        with pytest.raises(ValueError, match=match):
+            load_records(path)
+
+    def test_non_record_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text(rec(1.0, 0).to_json() + "\n\n" + '{"x":[1.0]}\n')
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line 3: KeyError"):
+            load_records(path)
