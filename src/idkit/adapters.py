@@ -5,13 +5,13 @@ coordinates of ``x`` (strings such as material names coerce to 0.0),
 truncated or zero-padded to the problem's response width.  It exists to
 exercise the wire protocol end to end without any physics; run it as
 ``python -m idkit.adapters`` or via the ``echo-adapter`` CLI subcommand.
+It reads requests from ``sys.stdin`` and writes replies to ``sys.stdout``.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import IO
 
 from .problems import get_space
 
@@ -30,11 +30,9 @@ def echo_response(problem: str, x: list) -> list[float]:
     return y
 
 
-def echo_loop(stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> int:
-    """Serve requests until EOF.  Returns a process exit code."""
-    stdin = sys.stdin if stdin is None else stdin
-    stdout = sys.stdout if stdout is None else stdout
-    for line in stdin:
+def echo_loop() -> int:
+    """Serve requests from stdin until EOF.  Returns a process exit code."""
+    for line in sys.stdin:
         line = line.strip()
         if not line:
             continue
@@ -47,8 +45,8 @@ def echo_loop(stdin: IO[str] | None = None, stdout: IO[str] | None = None) -> in
             except Exception:
                 req_id = 0
             reply = {"id": req_id, "error": f"echo adapter: {exc}"}
-        stdout.write(json.dumps(reply, separators=(",", ":")) + "\n")
-        stdout.flush()
+        sys.stdout.write(json.dumps(reply, separators=(",", ":")) + "\n")
+        sys.stdout.flush()
     return 0
 
 

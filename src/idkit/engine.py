@@ -286,6 +286,13 @@ class Engine:
         target: np.ndarray | None = None,
         start_trial: int = 0,
     ) -> list[EvalRecord]:
+        if target is not None:
+            target = np.asarray(target, dtype=float)
+            dim = self.space.response_dim
+            if target.shape != (dim,):
+                raise ValueError(f"target must be {dim} finite values, got shape {target.shape}")
+            if not np.all(np.isfinite(target)):
+                raise ValueError(f"target must be {dim} finite values, got a non-finite one")
         for p in points:
             check = self.space.validate(p)
             if not check:
@@ -378,15 +385,11 @@ class Engine:
         ]
 
 
-def adapter_roundtrip(
-    binding: SimulatorBinding,
-    point: DesignPoint,
-    target: np.ndarray | None = None,
-) -> EvalRecord:
+def adapter_roundtrip(binding: SimulatorBinding, point: DesignPoint) -> EvalRecord:
     """Single-point exchange with an external adapter.
 
-    Without a target the loss is taken against the zero response.  Protocol
-    violations raise instead of producing a record.
+    The loss is taken against the zero response.  Protocol violations raise
+    instead of producing a record.
     """
     if binding.kind != "external-adapter":
         raise ValueError("adapter_roundtrip needs an external-adapter binding")
@@ -400,7 +403,7 @@ def adapter_roundtrip(
             # an error payload or an unusable reply is a valid per-point
             # outcome, not a protocol breach
             return _failed(point, str(exc), 0)
-        return _finish(point, y, target, 0)
+        return _finish(point, y, None, 0)
     finally:
         worker.close()
 
@@ -409,13 +412,12 @@ def throughput_curve(
     binding: SimulatorBinding,
     points: Sequence[DesignPoint],
     worker_counts: Sequence[int],
-    target: np.ndarray | None = None,
 ) -> list[tuple[int, float]]:
     """Wall-clock seconds to evaluate `points` at each worker count."""
     out = []
     for w in worker_counts:
         with Engine(replace(binding, workers=w)) as engine:
             t0 = time.monotonic()
-            engine.evaluate_batch(points, target)
+            engine.evaluate_batch(points)
             out.append((w, time.monotonic() - t0))
     return out

@@ -24,7 +24,7 @@ from .engine import Engine, SimulatorBinding
 from .optimizers import OPTIMIZER_KINDS, check_config, make_optimizer, warm_start
 from .problems import PROBLEM_NAMES, get_space
 from .records import EvalRecord, dump_records, load_records
-from .space import DesignPoint, DesignSpace, mse_loss
+from .space import DesignSpace, mse_loss
 from .tmm import default_grid
 
 try:  # glibc's; elsewhere there is nothing to call
@@ -153,13 +153,14 @@ def iid_targets(
     return generate_dataset(problem, k, seed, binding, max_failure_rate=0.0)
 
 
-def radiative_cooler_target(grid: np.ndarray | None = None) -> np.ndarray:
+def radiative_cooler_target() -> np.ndarray:
     """The stock emissivity target: reflect sunlight, radiate through the sky window.
 
     Zero below 2.5 um, one across 8-13 um, zero elsewhere, with smooth logistic
-    shoulders (0.15 um wide) so gradient-based methods see no cliffs.
+    shoulders (0.15 um wide) so gradient-based methods see no cliffs.  It is
+    sampled on the film problems' wavelength grid, ``tmm.default_grid()``.
     """
-    lam = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    lam = default_grid()
     w = 0.15
     rise = 1.0 / (1.0 + np.exp(-(lam - 8.0) / w))
     fall = 1.0 / (1.0 + np.exp(-(13.0 - lam) / w))
@@ -177,8 +178,10 @@ def load_target(path: str, space: DesignSpace) -> np.ndarray:
     target = np.asarray([float(v) for v in values], dtype=float)
     if target.shape != (space.response_dim,):
         raise ValueError(
-            f"target has {target.size} values, space responds with {space.response_dim}"
+            f"target {path} has {target.size} values, space responds with {space.response_dim}"
         )
+    if not np.all(np.isfinite(target)):
+        raise ValueError(f"target {path} has non-finite values")
     return target
 
 

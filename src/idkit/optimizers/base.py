@@ -30,7 +30,6 @@ class OptimizerSession:
     def __init__(self, space: DesignSpace, config: dict | None = None, seed: int = 0):
         self.space = space
         self.config = self.resolve_config(config)
-        self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
         self.history: list[tuple[np.ndarray, float]] = []
         self._pending: list[DesignPoint] = []
@@ -87,23 +86,17 @@ class OptimizerSession:
     def _ingest(self, rec: EvalRecord, warm: bool) -> None:
         u = self.space.normalize(rec.point)
         self.history.append((u, float(rec.loss)))
-        self._update(u, float(rec.loss), rec, warm)
+        self._update(u, float(rec.loss), warm)
 
     # -- subclass hooks ----------------------------------------------------------
 
     def _propose_batch(self, n: int) -> list[DesignPoint]:
         raise NotImplementedError
 
-    def _update(self, u: np.ndarray, loss: float, rec: EvalRecord, warm: bool) -> None:
+    def _update(self, u: np.ndarray, loss: float, warm: bool) -> None:
         pass
 
     # -- helpers ---------------------------------------------------------------
-
-    @property
-    def best(self) -> tuple[np.ndarray, float] | None:
-        if not self.history:
-            return None
-        return min(self.history, key=lambda h: h[1])
 
     def _continuous_dims(self) -> np.ndarray:
         return np.array([k is None for k in self.space.unit_kinds()])

@@ -22,7 +22,6 @@ from scipy import optimize
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtr
 
-from ..records import EvalRecord
 from ..space import DesignPoint
 from .base import OptimizerSession
 
@@ -163,7 +162,6 @@ class BayesOpt(OptimizerSession):
         self.gp = GaussianProcess(self.space.onehot_length, float(self.config["noise"]))
         self._cont = self._continuous_dims()
         self._last_refit_n = 0
-        self._dirty = True
 
     # -- model upkeep ------------------------------------------------------------
 
@@ -180,10 +178,6 @@ class BayesOpt(OptimizerSession):
         ):
             self.gp.refit(int(self.config["mlii_maxiter"]))
             self._last_refit_n = n
-        self._dirty = False
-
-    def _update(self, u: np.ndarray, loss: float, rec: EvalRecord, warm: bool) -> None:
-        self._dirty = True
 
     # -- acquisition -------------------------------------------------------------
 
@@ -232,6 +226,4 @@ class BayesOpt(OptimizerSession):
             out.append(self.space.denormalize(u))
             mu, _ = self.gp.posterior_raw(self.space.encode_units(u))
             fantasy.append((u, float(mu[0])))
-        if fantasy:
-            self._dirty = True
         return out

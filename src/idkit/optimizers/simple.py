@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..records import EvalRecord
 from ..space import DesignPoint
 from .base import OptimizerSession
 
@@ -70,7 +69,7 @@ class OnePlusOneES(OptimizerSession):
     def _propose_batch(self, n: int) -> list[DesignPoint]:
         return [self.space.denormalize(self._mutate(self.incumbent_u)) for _ in range(n)]
 
-    def _update(self, u: np.ndarray, loss: float, rec: EvalRecord, warm: bool) -> None:
+    def _update(self, u: np.ndarray, loss: float, warm: bool) -> None:
         if warm:
             if self.incumbent_loss is None or loss < self.incumbent_loss:
                 self.incumbent_u, self.incumbent_loss = u, loss

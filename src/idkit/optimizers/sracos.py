@@ -14,7 +14,6 @@ from collections import deque
 
 import numpy as np
 
-from ..records import EvalRecord
 from ..space import DesignPoint
 from .base import OptimizerSession
 
@@ -75,7 +74,7 @@ class Sracos(OptimizerSession):
             out.append(self.space.denormalize(u))
         return out
 
-    def _update(self, u: np.ndarray, loss: float, rec: EvalRecord, warm: bool) -> None:
+    def _update(self, u: np.ndarray, loss: float, warm: bool) -> None:
         if self.positive is None or loss < self.positive[1]:
             if self.positive is not None:
                 self.negatives.append(self.positive)

@@ -62,7 +62,7 @@ def motf_space() -> DesignSpace:
     for i in range(1, 11):
         params.append(ParamSpec(f"mat{i}", Categorical(MATERIALS)))
     for i in range(1, 11):
-        params.append(ParamSpec(f"d{i}", Continuous(0.0, 1.0, "um")))
+        params.append(ParamSpec(f"d{i}", Continuous(0.0, 1.0)))
     return DesignSpace("motf", params, response_dim=2001)
 
 
@@ -70,31 +70,31 @@ def tpv_space() -> DesignSpace:
     """Four-hole spline metasurface for thermophotovoltaic emitters.
 
     x0 cell size (nm), x1 film thickness (nm), x2 pillar height (nm), then
-    sixteen lobe radii bounded above by half the cell size so tangent
+    sixteen lobe radii (nm) bounded above by half the cell size so tangent
     sub-cells can touch but never overlap.
     """
     params = [
-        ParamSpec("x0", Continuous(350.0, 500.0, "nm")),
-        ParamSpec("x1", Continuous(30.0, 130.0, "nm")),
-        ParamSpec("x2", Continuous(10.0, 80.0, "nm")),
+        ParamSpec("x0", Continuous(350.0, 500.0)),
+        ParamSpec("x1", Continuous(30.0, 130.0)),
+        ParamSpec("x2", Continuous(10.0, 80.0)),
     ]
     for i in range(3, 19):
-        params.append(ParamSpec(f"x{i}", ConditionalContinuous(40.0, "x0", 0.5, "nm")))
+        params.append(ParamSpec(f"x{i}", ConditionalContinuous(40.0, "x0", 0.5)))
     return DesignSpace("tpv", params, response_dim=500)
 
 
 def scf_space() -> DesignSpace:
     """Structural-color variant of the four-hole geometry on a 70 nm film.
 
-    Cell size 150..350 nm, a free height parameter, then sixteen conditional
-    lobe radii with the same half-cell ceiling.
+    x0 cell size 150..350 nm, x1 a free height parameter (nm), then sixteen
+    conditional lobe radii (nm) with the same half-cell ceiling.
     """
     params = [
-        ParamSpec("x0", Continuous(150.0, 350.0, "nm")),
-        ParamSpec("x1", Continuous(100.0, 500.0, "nm")),
+        ParamSpec("x0", Continuous(150.0, 350.0)),
+        ParamSpec("x1", Continuous(100.0, 500.0)),
     ]
     for i in range(2, 18):
-        params.append(ParamSpec(f"x{i}", ConditionalContinuous(40.0, "x0", 0.5, "nm")))
+        params.append(ParamSpec(f"x{i}", ConditionalContinuous(40.0, "x0", 0.5)))
     return DesignSpace("scf", params, response_dim=3)
 
 
@@ -110,10 +110,11 @@ def get_space(problem: str) -> DesignSpace:
 
 # -- synthetic responses for tpv / scf ----------------------------------------
 #
-# Both responses are smooth deterministic functions of the rasterized
-# geometry, built from its first few radial Fourier moments.  They preserve
-# what the optimizers care about: the map is nonlinear, every parameter
-# matters, and mirror-symmetric inputs give identical outputs.
+# Both responses are smooth deterministic functions of the geometry, built
+# from the first sub-cell's area and first few radial Fourier moments.  The
+# map is nonlinear and mirror-symmetric inputs give identical outputs, but
+# only the first sub-cell's four radii enter it: the other twelve (tpv x7-x18,
+# scf x6-x17) leave the response bit-identical.
 
 
 def _geometry_features(point: DesignPoint, problem: str) -> np.ndarray:

@@ -121,9 +121,7 @@ def subcell_shape(cp: ControlPolygon, samples: int = DEFAULT_CURVE_SAMPLES) -> n
 _SUBCELL_CENTER_FACTORS = ((0.5, 0.5), (1.5, 0.5), (0.5, 1.5), (1.5, 1.5))
 
 
-def supercell_polygons(
-    cell: float, radii: Sequence[float], samples: int = DEFAULT_CURVE_SAMPLES
-) -> list[np.ndarray]:
+def supercell_polygons(cell: float, radii: Sequence[float]) -> list[np.ndarray]:
     """Boundaries of the four sub-cells in supercell coordinates [0, 2*cell]^2.
 
     `radii` holds four blocks of four control radii, one block per sub-cell
@@ -135,7 +133,7 @@ def supercell_polygons(
     polys = []
     for q, (fx, fy) in enumerate(_SUBCELL_CENTER_FACTORS):
         cp = ControlPolygon(tuple(radii[4 * q : 4 * q + 4]), cell)
-        poly = subcell_shape(cp, samples)
+        poly = subcell_shape(cp)
         polys.append(poly + np.array([fx * cell, fy * cell]))
     return polys
 
@@ -162,14 +160,13 @@ def rasterize(
     polys: Sequence[np.ndarray] | np.ndarray,
     extent: float,
     resolution: int = DEFAULT_RESOLUTION,
-    origin: tuple[float, float] = (0.0, 0.0),
 ) -> np.ndarray:
     """Even-odd scanline fill of closed polylines onto a square pixel grid.
 
-    Grid covers [origin, origin + extent]^2; entry [row, col] is the pixel
-    whose center is origin + ((col + 0.5) h, (row + 0.5) h) with
-    h = extent / resolution.  A pixel is set iff its center is inside an odd
-    number of boundary crossings.  Self-intersecting input is rejected.
+    Grid covers [0, extent]^2; entry [row, col] is the pixel whose center is
+    ((col + 0.5) h, (row + 0.5) h) with h = extent / resolution.  A pixel is
+    set iff its center is inside an odd number of boundary crossings.
+    Self-intersecting input is rejected.
     """
     if isinstance(polys, np.ndarray) and polys.ndim == 2:
         polys = [polys]
@@ -178,10 +175,8 @@ def rasterize(
     for poly in polys:
         if not check_simple(poly):
             raise GeometryError("self-intersecting boundary cannot be fabricated")
-    h = extent / resolution
-    ox, oy = origin
-    centers = ox + (np.arange(resolution) + 0.5) * h
-    rows_y = oy + (np.arange(resolution) + 0.5) * h
+    # pixel centers, the same along x (columns) and y (rows)
+    centers = (np.arange(resolution) + 0.5) * (extent / resolution)
     x1s, y1s, x2s, y2s = [], [], [], []
     for poly in polys:
         p = np.asarray(poly, dtype=float)
@@ -191,8 +186,8 @@ def rasterize(
     x1 = np.concatenate(x1s); y1 = np.concatenate(y1s)
     x2 = np.concatenate(x2s); y2 = np.concatenate(y2s)
     # half-open vertical rule: an edge spans scanline y iff y1 <= y < y2 or y2 <= y < y1
-    rows, edges = np.nonzero((y1 <= rows_y[:, None]) != (y2 <= rows_y[:, None]))
-    y = rows_y[rows]
+    rows, edges = np.nonzero((y1 <= centers[:, None]) != (y2 <= centers[:, None]))
+    y = centers[rows]
     t = (y - y1[edges]) / (y2[edges] - y1[edges])
     xs = x1[edges] + t * (x2[edges] - x1[edges])
     # a crossing counts for every pixel center at or right of it: tally each at

@@ -40,7 +40,6 @@ class Continuous:
 
     lo: float
     hi: float
-    unit: str = ""
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -74,7 +73,6 @@ class ConditionalContinuous:
     lo: float
     hi_ref: str
     hi_scale: float
-    unit: str = ""
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lo) or not math.isfinite(self.hi_scale):

@@ -234,6 +234,15 @@ class TestRun:
         assert "unknown algo 'nope'" in capsys.readouterr().err
         assert os.listdir(data_dir) == []
 
+    def test_non_finite_target_file_exits_1_before_running(self, data_dir, capsys):
+        (data_dir / "t.txt").write_text("0.3 nan 0.5\n")
+        out = str(data_dir / "run")
+        rc = main(["run", "--problem", "scf", "--algo", "rs", "--budget", "5",
+                   "--seeds", "1", "--target", "t.txt", "--out", out])
+        assert rc == 1
+        assert "target t.txt has non-finite values" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "records_seed0.jsonl"))
+
 
 class TestEval:
     def test_zero_loss_against_own_response(self, data_dir, capsys):
@@ -273,6 +282,14 @@ class TestEval:
         # the echo fixture answers x[:3], unlike the stand-in simulator
         ref = mse_loss(np.array(point.values[:3], dtype=float), np.zeros(3))
         assert capsys.readouterr().out.strip() == f"loss={ref:.12g}"
+
+    def test_film_target_on_scf_exits_1_naming_the_width(self, data_dir, capsys):
+        point = get_space("scf").sample_uniform(np.random.default_rng(3))
+        pt = data_dir / "pt.json"
+        pt.write_text(json.dumps(list(point.values)))
+        rc = main(["eval", "--problem", "scf", "--point", str(pt), "--target", "builtin"])
+        assert rc == 1
+        assert "target must be 3 finite values, got shape (2001,)" in capsys.readouterr().err
 
     def test_invalid_point_exits_1(self, data_dir, capsys):
         pt = data_dir / "pt.json"

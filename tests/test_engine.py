@@ -2,6 +2,7 @@
 
 import gc
 import os
+import re
 import shutil
 import sys
 import threading
@@ -147,6 +148,25 @@ class TestInternal:
         with pytest.raises(EngineError):
             Engine(binding).evaluate_batch([bad])
         assert space.validate(good).ok
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "target, got",
+        [(np.zeros(5), "shape (5,)"), ([0.3, np.nan, 0.5], "a non-finite one")],
+        ids=["width-5", "nan"],
+    )
+    def test_bad_target_raises_before_simulating(self, workers, target, got, monkeypatch, capfd):
+        import idkit.engine
+
+        calls = []
+        monkeypatch.setattr(idkit.engine, "synthetic_response", lambda p, problem: calls.append(p))
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        engine = Engine(SimulatorBinding(problem="scf", workers=workers))
+        with pytest.raises(ValueError, match=rf"target must be 3 finite values, got {re.escape(got)}"):
+            engine.evaluate_batch(sample_points("scf", 4, seed=9), target=target)
+        assert calls == [] and hooked == []
+        assert capfd.readouterr().err == ""
 
     def test_sleep_simulator_scales_with_workers(self):
         pts = sample_points("scf", 32, seed=7)

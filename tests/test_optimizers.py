@@ -122,12 +122,6 @@ class TestProtocol:
         _, b = run_session("bo", space, seed=11, steps=12)
         assert [p.values for p in a] == [p.values for p in b]
 
-    def test_best_property_tracks_minimum(self):
-        space = get_space("scf")
-        session, _ = run_session("rs", space, seed=5, steps=30)
-        losses = [loss for _, loss in session.history]
-        assert session.best[1] == min(losses)
-
 
 class TestEvolutionStrategy:
     def test_worse_child_keeps_incumbent_and_shrinks_sigma(self):
