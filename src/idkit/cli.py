@@ -132,7 +132,7 @@ def _cmd_train(ns) -> int:
     if ns.model == "tandem" and not ns.forward_model:
         raise _usage_error("--model tandem requires --forward-model")
     space = get_space(ns.problem)
-    records = [r for r in load_records(ns.data) if not r.failed]
+    records = [r for r in harness._load_dataset(ns.data, space) if not r.failed]
     x, y = surrogate.encode_dataset(space, records)
     cfg_kw = {"seed": ns.seed}
     if ns.epochs is not None:

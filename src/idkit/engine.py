@@ -46,7 +46,7 @@ import threading
 import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -90,7 +90,8 @@ class SimulatorBinding:
     """Which simulator to run, and how wide.
 
     The simulator is the adapter command when one is given, else the
-    problem's built-in one.
+    problem's built-in one.  The command is split shell-style into ``argv``
+    on construction; one that does not split into a program is rejected.
     """
 
     problem: str
@@ -98,6 +99,7 @@ class SimulatorBinding:
     adapter_cmd: str | None = None
     timeout: float = 30.0
     sleep_s: float = 0.0
+    argv: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -106,10 +108,19 @@ class SimulatorBinding:
             raise ValueError("timeout must be > 0")
         if self.sleep_s < 0:
             raise ValueError("sleep_s must be >= 0")
+        argv = ()
+        if self.adapter_cmd is not None:
+            try:
+                argv = tuple(shlex.split(self.adapter_cmd))
+            except ValueError as exc:
+                raise ValueError(f"adapter_cmd {self.adapter_cmd!r}: {exc}") from None
+            if not argv:
+                raise ValueError(f"adapter_cmd {self.adapter_cmd!r} names no program")
+        object.__setattr__(self, "argv", argv)
 
     @property
     def kind(self) -> str:
-        if self.adapter_cmd:
+        if self.argv:
             return "external-adapter"
         return "internal-motf" if self.problem == "motf" else "internal-synthetic"
 
@@ -143,9 +154,9 @@ def _failed(point: DesignPoint, reason: str, trial: int) -> EvalRecord:
 class _AdapterWorker:
     """One child process plus its buffered line reader."""
 
-    def __init__(self, cmd: str, timeout: float):
+    def __init__(self, argv: tuple[str, ...], timeout: float):
         self.proc = subprocess.Popen(
-            shlex.split(cmd),
+            argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
@@ -250,7 +261,7 @@ class Engine:
             try:
                 worker = self._idle.pop()
             except IndexError:
-                return _AdapterWorker(self.binding.adapter_cmd, self.binding.timeout)
+                return _AdapterWorker(self.binding.argv, self.binding.timeout)
             if worker.alive():
                 return worker
             worker.close()
@@ -394,7 +405,7 @@ def adapter_roundtrip(binding: SimulatorBinding, point: DesignPoint) -> EvalReco
     if binding.kind != "external-adapter":
         raise ValueError("adapter_roundtrip needs an external-adapter binding")
     dim = get_space(binding.problem).response_dim
-    worker = _AdapterWorker(binding.adapter_cmd, binding.timeout)
+    worker = _AdapterWorker(binding.argv, binding.timeout)
     try:
         payload = _request_payload(1, binding.problem, point)
         try:

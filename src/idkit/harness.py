@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .engine import Engine, SimulatorBinding
-from .optimizers import OPTIMIZER_KINDS, check_config, make_optimizer, warm_start
+from .optimizers import OPTIMIZER_KINDS, make_optimizer, warm_start
 from .problems import PROBLEM_NAMES, get_space
 from .records import EvalRecord, dump_records, load_records
 from .space import DesignSpace, mse_loss
@@ -171,11 +171,13 @@ def load_target(path: str, space: DesignSpace) -> np.ndarray:
     """Read a target response from a JSON list or a whitespace/newline text file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith(".json"):
-        values = json.loads(text)
-    else:
-        values = text.split()
-    target = np.asarray([float(v) for v in values], dtype=float)
+    try:
+        values = json.loads(text) if path.endswith(".json") else text.split()
+        if not isinstance(values, list):
+            raise TypeError
+        target = np.asarray([float(v) for v in values], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"target {path} is not a list of numbers") from None
     if target.shape != (space.response_dim,):
         raise ValueError(
             f"target {path} has {target.size} values, space responds with {space.response_dim}"
@@ -215,16 +217,15 @@ class ExperimentSpec:
     ``target`` is one of ``"builtin"`` (the radiative-cooler spectrum, films
     only), ``"iid"`` (fresh realizable targets, one per seed, drawn with
     ``target_seed``), or a path to a stored response.  ``budget`` counts
-    simulator calls; warm-start records cost nothing.  ``problem``,
-    ``algo`` and the ``config`` keys are checked on construction, before
-    anything is simulated.
+    simulator calls; warm-start records cost nothing.  ``problem`` and
+    ``algo`` are checked on construction, before anything is simulated.
+    The optimizer runs at its kind's fixed setting.
     """
 
     problem: str
     algo: str
     budget: int | None = None
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    config: dict = field(default_factory=dict)
     target: str = "iid"
     target_seed: int = TARGET_SEED
     warm_start_k: int = 0
@@ -239,7 +240,6 @@ class ExperimentSpec:
             raise ValueError(f"unknown problem {self.problem!r}; expected one of {PROBLEM_NAMES}")
         if self.algo.lower() not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown algo {self.algo!r}; expected one of {OPTIMIZER_KINDS}")
-        check_config(self.algo, self.config)
         if self.budget is None:
             object.__setattr__(self, "budget", DEFAULT_BUDGETS[self.problem])
         if self.budget < 0:
@@ -403,7 +403,7 @@ def _run_seed(
     binding: SimulatorBinding,
 ) -> list[float]:
     space = get_space(spec.problem)
-    session = make_optimizer(spec.algo, space, dict(spec.config), seed)
+    session = make_optimizer(spec.algo, space, seed)
     if spec.warm_start_k:
         rescored = [
             replace(r, loss=mse_loss(r.response_array(), target))

@@ -1,9 +1,11 @@
 """Five ask/tell black-box optimizers over mixed design spaces.
 
 All sessions share the protocol in :mod:`idkit.optimizers.base`: construct
-with (space, config, seed), call ``ask`` for proposals and ``tell`` with
-evaluated records.  ``warm_start`` seeds a session with the best records of
-an existing dataset without consuming budget.
+with (space, seed), call ``ask`` for proposals and ``tell`` with evaluated
+records.  Each kind runs at one fixed setting, listed as private constants
+at the top of its module; there is nothing to configure.  ``warm_start``
+seeds a session with the best records of an existing dataset without
+consuming budget.
 
 A kind's module is imported when the kind is first used, and scipy with it:
 importing the package loads no scipy, a TPE session loads ``scipy.special``
@@ -20,7 +22,6 @@ from .base import OptimizerSession, ProtocolError, warm_start
 __all__ = [
     "OPTIMIZER_KINDS",
     "make_optimizer",
-    "check_config",
     "warm_start",
     "OptimizerSession",
     "ProtocolError",
@@ -52,24 +53,12 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f"{__name__}.{_MODULES[name]}"), name)
 
 
-def _session_class(kind: str) -> type[OptimizerSession]:
+def make_optimizer(kind: str, space: DesignSpace, seed: int = 0) -> OptimizerSession:
+    """Build a fresh session of the given kind ('rs', 'es', 'tpe', 'bo', 'sracos')."""
     try:
         _, cls = _REGISTRY[kind.lower()]
     except KeyError:
         raise ValueError(
             f"unknown optimizer kind {kind!r}; expected one of {OPTIMIZER_KINDS}"
         ) from None
-    return __getattr__(cls)
-
-
-def make_optimizer(
-    kind: str, space: DesignSpace, config: dict | None = None, seed: int = 0
-) -> OptimizerSession:
-    """Build a fresh session of the given kind ('rs', 'es', 'tpe', 'bo', 'sracos')."""
-    return _session_class(kind)(space, config, seed)
-
-
-def check_config(kind: str, config: dict | None) -> None:
-    """Raise the ValueError that ``make_optimizer(kind, space, config)`` would
-    raise for an unknown kind or config key, without building a session."""
-    _session_class(kind).resolve_config(config)
+    return __getattr__(cls)(space, seed)

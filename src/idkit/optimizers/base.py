@@ -1,10 +1,12 @@
 """Shared ask/tell session machinery for the black-box optimizers.
 
-A session owns its seeded generator and its history.  ``ask`` produces design
-points that always validate against the space; ``tell`` matches evaluated
-records back to outstanding proposals.  Strictly serial kinds refuse a second
-ask while proposals are outstanding.  All proposal logic happens in the
-normalized unit box; conditional bounds are resolved by denormalization.
+A session owns its seeded generator and its history; each kind runs at one
+fixed setting, kept as private constants at the top of its module.  ``ask``
+produces design points that always validate against the space; ``tell``
+matches evaluated records back to outstanding proposals.  Strictly serial
+kinds refuse a second ask while proposals are outstanding.  All proposal
+logic happens in the normalized unit box; conditional bounds are resolved by
+denormalization.
 """
 
 from __future__ import annotations
@@ -27,29 +29,12 @@ class OptimizerSession:
     kind = "base"
     strict_serial = False
 
-    def __init__(self, space: DesignSpace, config: dict | None = None, seed: int = 0):
+    def __init__(self, space: DesignSpace, seed: int = 0):
         self.space = space
-        self.config = self.resolve_config(config)
         self.rng = np.random.default_rng(seed)
         self.history: list[tuple[np.ndarray, float]] = []
         self._pending: list[DesignPoint] = []
         self._setup()
-
-    @classmethod
-    def defaults(cls) -> dict:
-        return {}
-
-    @classmethod
-    def resolve_config(cls, config: dict | None) -> dict:
-        """The defaults with `config` applied, each value cast to its default's
-        type; ValueError names an unknown key."""
-        defaults = cls.defaults()
-        cfg = dict(defaults)
-        for key, val in (config or {}).items():
-            if key not in defaults:
-                raise ValueError(f"{cls.kind}: unknown config key {key!r}")
-            cfg[key] = type(defaults[key])(val) if defaults[key] is not None else val
-        return cfg
 
     def _setup(self) -> None:
         pass

@@ -29,13 +29,22 @@ __all__ = ["GaussianProcess", "BayesOpt"]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
+_NOISE = 1e-8  # kernel jitter on the standardized scale
+_N_STARTUP = 3  # uniform proposals before the first GP
+_N_RAW = 256  # uniform draws scored by EI before the local refinement
+_REFINE_ITERS = 25  # L-BFGS-B steps of the refinement
+_XI = 0.01  # EI exploration margin
+_MLII_MAXITER = 30  # L-BFGS-B steps of a hyperparameter refit
+# refit at every size up to _REFIT_UNTIL points, then once the data grew _REFIT_GROWTH-fold
+_REFIT_UNTIL = 25
+_REFIT_GROWTH = 1.15
+
 
 class GaussianProcess:
     """Zero-mean GP on standardized targets, ARD squared-exponential kernel."""
 
-    def __init__(self, n_features: int, noise: float = 1e-8):
+    def __init__(self, n_features: int):
         self.nf = n_features
-        self.noise = float(noise)
         self.log_ls = np.full(n_features, math.log(0.5))
         self.log_amp = 0.0
         self.x = np.empty((0, n_features))
@@ -62,7 +71,7 @@ class GaussianProcess:
         self.log_ls = params[: self.nf].copy()
         self.log_amp = float(params[self.nf])
         n = self.x.shape[0]
-        k = self._kernel(self.x, self.x) + self.noise * np.eye(n)
+        k = self._kernel(self.x, self.x) + _NOISE * np.eye(n)
         try:
             cf = cho_factor(k, lower=True)
         except np.linalg.LinAlgError:
@@ -75,7 +84,7 @@ class GaussianProcess:
         )
         kinv = cho_solve(cf, np.eye(n))
         w = kinv - np.outer(alpha, alpha)
-        kern = k - self.noise * np.eye(n)
+        kern = k - _NOISE * np.eye(n)
         grad = np.empty(params.size)
         ls = np.exp(self.log_ls)
         for f in range(self.nf):
@@ -84,7 +93,7 @@ class GaussianProcess:
         grad[self.nf] = 0.5 * float(np.sum(w * (2.0 * kern)))
         return nlml, grad
 
-    def refit(self, maxiter: int = 30) -> None:
+    def refit(self) -> None:
         x0 = np.concatenate([self.log_ls, [self.log_amp]])
         bounds = [(math.log(5e-3), math.log(30.0))] * self.nf + [
             (math.log(1e-3), math.log(1e3))
@@ -95,7 +104,7 @@ class GaussianProcess:
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": maxiter},
+            options={"maxiter": _MLII_MAXITER},
         )
         self.log_ls = res.x[: self.nf].copy()
         self.log_amp = float(res.x[self.nf])
@@ -104,7 +113,7 @@ class GaussianProcess:
     def _factorize(self) -> None:
         n = self.x.shape[0]
         k = self._kernel(self.x, self.x)
-        jitter = self.noise
+        jitter = _NOISE
         for _ in range(6):
             try:
                 self._chol = np.linalg.cholesky(k + jitter * np.eye(n))
@@ -133,9 +142,9 @@ class GaussianProcess:
         return self.y_mean + self.y_std * mu, var * self.y_std**2
 
 
-def _expected_improvement(mu: np.ndarray, var: np.ndarray, best: float, xi: float) -> np.ndarray:
+def _expected_improvement(mu: np.ndarray, var: np.ndarray, best: float) -> np.ndarray:
     s = np.sqrt(var)
-    imp = best - mu - xi
+    imp = best - mu - _XI
     z = imp / s
     pdf = np.exp(-0.5 * z * z) / _SQRT2PI
     return imp * ndtr(z) + s * pdf
@@ -145,21 +154,8 @@ class BayesOpt(OptimizerSession):
     kind = "bo"
     strict_serial = True
 
-    @classmethod
-    def defaults(cls) -> dict:
-        return {
-            "n_startup": 3,
-            "noise": 1e-8,
-            "n_raw": 256,
-            "refine_iters": 25,
-            "xi": 0.01,
-            "refit_growth": 1.15,
-            "refit_until": 25,
-            "mlii_maxiter": 30,
-        }
-
     def _setup(self) -> None:
-        self.gp = GaussianProcess(self.space.onehot_length, float(self.config["noise"]))
+        self.gp = GaussianProcess(self.space.onehot_length)
         self._cont = self._continuous_dims()
         self._last_refit_n = 0
 
@@ -173,21 +169,17 @@ class BayesOpt(OptimizerSession):
         us, ys = us[finite], ys[finite]
         self.gp.set_data(self.space.encode_units(us), ys)
         n = us.shape[0]
-        if n <= int(self.config["refit_until"]) or n >= math.ceil(
-            self._last_refit_n * float(self.config["refit_growth"])
-        ):
-            self.gp.refit(int(self.config["mlii_maxiter"]))
+        if n <= _REFIT_UNTIL or n >= math.ceil(self._last_refit_n * _REFIT_GROWTH):
+            self.gp.refit()
             self._last_refit_n = n
 
     # -- acquisition -------------------------------------------------------------
 
     def _maximize_ei(self) -> np.ndarray:
         best = float(np.min(self.gp.t))
-        xi = float(self.config["xi"])
-        d = self.space.dim
-        raw = self.rng.random((int(self.config["n_raw"]), d))
+        raw = self.rng.random((_N_RAW, self.space.dim))
         mu, var = self.gp.posterior(self.space.encode_units(raw))
-        ei = _expected_improvement(mu, var, best, xi)
+        ei = _expected_improvement(mu, var, best)
         u0 = raw[int(np.argmax(ei))]
         cont = self._cont
         if not np.any(cont):
@@ -197,14 +189,14 @@ class BayesOpt(OptimizerSession):
             u = u0.copy()
             u[cont] = z
             m, v = self.gp.posterior(self.space.encode_units(u))
-            return -float(_expected_improvement(m, v, best, xi)[0])
+            return -float(_expected_improvement(m, v, best)[0])
 
         res = optimize.minimize(
             neg_ei,
             u0[cont],
             method="L-BFGS-B",
             bounds=[(0.0, 1.0)] * int(cont.sum()),
-            options={"maxiter": int(self.config["refine_iters"])},
+            options={"maxiter": _REFINE_ITERS},
         )
         if -res.fun > float(np.max(ei)):
             u = u0.copy()
@@ -218,7 +210,7 @@ class BayesOpt(OptimizerSession):
         # the GP fits finite losses only, so failed points do not end the startup
         n_finite = sum(math.isfinite(loss) for _, loss in self.history)
         for _ in range(n):
-            if n_finite < int(self.config["n_startup"]):
+            if n_finite < _N_STARTUP:
                 out.append(self.space.sample_uniform(self.rng))
                 continue
             self._sync(extra=fantasy)

@@ -9,6 +9,13 @@ from .base import OptimizerSession
 
 __all__ = ["RandomSearch", "OnePlusOneES"]
 
+# (1+1)-ES step size: initial value, factors on success and on failure, clip
+_SIGMA0 = 0.3
+_SIGMA_UP = 1.22
+_SIGMA_DOWN = 0.82
+_SIGMA_MIN = 1e-9
+_SIGMA_MAX = 1.0
+
 
 class RandomSearch(OptimizerSession):
     """Uniform sampling; ask(n) yields n independent sample_uniform draws."""
@@ -25,32 +32,20 @@ class OnePlusOneES(OptimizerSession):
     The initial incumbent is drawn at construction but never evaluated; the
     first ask is already a mutation of it, and the first tell installs that
     child as the incumbent without touching sigma.  From then on a strictly
-    better child replaces the incumbent and sigma grows by `sigma_up`, any
-    other outcome shrinks it by `sigma_down`.  Categorical coordinates
-    resample uniformly with probability `cat_prob` (default one over the
-    number of categorical parameters).
+    better child replaces the incumbent and sigma grows by ``_SIGMA_UP``, any
+    other outcome shrinks it by ``_SIGMA_DOWN``.  Categorical coordinates
+    resample uniformly with probability one over the number of categorical
+    parameters.
     """
 
     kind = "es"
     strict_serial = True
 
-    @classmethod
-    def defaults(cls) -> dict:
-        return {
-            "sigma0": 0.3,
-            "sigma_up": 1.22,
-            "sigma_down": 0.82,
-            "sigma_min": 1e-9,
-            "sigma_max": 1.0,
-            "cat_prob": None,
-        }
-
     def _setup(self) -> None:
-        self.sigma = float(self.config["sigma0"])
+        self.sigma = _SIGMA0
         self._cont = self._continuous_dims()
         n_cat = int(np.sum(~self._cont))
-        p = self.config["cat_prob"]
-        self._cat_prob = float(p) if p is not None else (1.0 / n_cat if n_cat else 0.0)
+        self._cat_prob = 1.0 / n_cat if n_cat else 0.0
         init = self.space.sample_uniform(self.rng)
         self.incumbent_u = self.space.normalize(init)
         self.incumbent_loss: float | None = None
@@ -79,9 +74,7 @@ class OnePlusOneES(OptimizerSession):
             return
         if loss < self.incumbent_loss:
             self.incumbent_u, self.incumbent_loss = u, loss
-            self.sigma *= self.config["sigma_up"]
+            self.sigma *= _SIGMA_UP
         else:
-            self.sigma *= self.config["sigma_down"]
-        self.sigma = float(
-            np.clip(self.sigma, self.config["sigma_min"], self.config["sigma_max"])
-        )
+            self.sigma *= _SIGMA_DOWN
+        self.sigma = float(np.clip(self.sigma, _SIGMA_MIN, _SIGMA_MAX))

@@ -19,29 +19,25 @@ from .base import OptimizerSession
 
 __all__ = ["Sracos"]
 
+_EPSILON = 0.05  # chance of a uniform exploration step
+_NEG_CAPACITY = 20  # negatives kept, the most recent ones
+_N_STARTUP = 5  # uniform proposals before the first box
+_SHRINK_MAX = 200  # most shrink steps per box
+
 
 class Sracos(OptimizerSession):
     kind = "sracos"
 
-    @classmethod
-    def defaults(cls) -> dict:
-        return {
-            "epsilon": 0.05,
-            "neg_capacity": 20,
-            "n_startup": 5,
-            "shrink_max": 200,
-        }
-
     def _setup(self) -> None:
         self.positive: tuple[np.ndarray, float] | None = None
-        self.negatives: deque = deque(maxlen=int(self.config["neg_capacity"]))
+        self.negatives: deque = deque(maxlen=_NEG_CAPACITY)
 
     def _shrunk_box(self) -> tuple[np.ndarray, np.ndarray]:
         pos = self.positive[0]
         lo = np.zeros(self.space.dim)
         hi = np.ones(self.space.dim)
         inside = [v for v, _ in self.negatives]
-        for _ in range(int(self.config["shrink_max"])):
+        for _ in range(_SHRINK_MAX):
             inside = [v for v in inside if np.all(v >= lo) and np.all(v <= hi)]
             if not inside:
                 break
@@ -63,8 +59,8 @@ class Sracos(OptimizerSession):
         for _ in range(n):
             explore = (
                 self.positive is None
-                or len(self.history) < int(self.config["n_startup"])
-                or self.rng.random() < float(self.config["epsilon"])
+                or len(self.history) < _N_STARTUP
+                or self.rng.random() < _EPSILON
             )
             if explore:
                 out.append(self.space.sample_uniform(self.rng))

@@ -1,13 +1,13 @@
 """Tree-structured Parzen estimator over the normalized unit box.
 
-History splits at the loss quantile `gamma` into good and bad sets.  Each
+History splits at the loss quantile ``_GAMMA`` into good and bad sets.  Each
 set gets a density over every dimension: truncated-normal kernels on good/bad
 values (bandwidth from the nearest-neighbor distance) mixed with one uniform
 prior component for continuous coordinates, add-one smoothed counts for
-categorical ones.  Proposals are the best of `n_candidates` draws from the
+categorical ones.  Proposals are the best of ``_N_CANDIDATES`` draws from the
 good density under the density ratio l/g.
 
-Draw order: dimensions in order.  A categorical one takes its `n_candidates`
+Draw order: dimensions in order.  A categorical one takes its ``_N_CANDIDATES``
 uniforms in one call, a continuous one a scalar ``(integers(n + 1),
 random())`` pair (mixture component, then the uniform it inverts) per
 candidate.  Batched ``integers`` calls would consume the stream differently
@@ -33,13 +33,19 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _EXP_ZERO = -746.0
 _BLOCK = 1 << 15  # entries per block of the kernel pass; keeps it in cache
 
+_GAMMA = 0.25  # loss quantile of the good set
+_N_GOOD_CAP = 25  # most points in the good set
+_N_CANDIDATES = 24
+_N_STARTUP = 10  # uniform proposals before the first model
+_BW_FLOOR = 1e-3  # smallest kernel bandwidth
+
 
 class _Parzen:
     """One side's density over every dimension: kernels ``mu``/``sigma`` (n, n_cont)
     plus the uniform component, and add-one smoothed choice probabilities ``p``
     (n_cat, k_max), zero past a column's own k."""
 
-    def __init__(self, mu: np.ndarray, choices: np.ndarray, ks: np.ndarray, bw_floor: float):
+    def __init__(self, mu: np.ndarray, choices: np.ndarray, ks: np.ndarray):
         n = self.n = mu.shape[0]
         sigma = np.full(mu.shape, 0.25)
         if n > 1:
@@ -47,7 +53,7 @@ class _Parzen:
             at = (np.argsort(mu, axis=0) * mu.shape[1] + np.arange(mu.shape[1])).ravel()
             gaps = np.diff(mu.ravel()[at].reshape(mu.shape), axis=0)
             nn = np.concatenate([gaps[:1], np.minimum(gaps[:-1], gaps[1:]), gaps[-1:]])
-            sigma.ravel()[at] = np.clip(nn, bw_floor, 1.0).ravel()
+            sigma.ravel()[at] = np.clip(nn, _BW_FLOOR, 1.0).ravel()
         self.mu, self.sigma = mu, sigma
         self.lo, self.hi = ndtr((0.0 - mu) / sigma), ndtr((1.0 - mu) / sigma)
         self.log_norm = np.log(sigma * _SQRT2PI)
@@ -103,16 +109,6 @@ class _Parzen:
 class TreeParzen(OptimizerSession):
     kind = "tpe"
 
-    @classmethod
-    def defaults(cls) -> dict:
-        return {
-            "gamma": 0.25,
-            "n_candidates": 24,
-            "n_startup": 10,
-            "bw_floor": 1e-3,
-            "n_good_cap": 25,
-        }
-
     def _setup(self) -> None:
         self._kinds = self.space.unit_kinds()
         # the dimension of each density row: continuous ones, then categorical
@@ -128,24 +124,20 @@ class TreeParzen(OptimizerSession):
         and late-stage proposals stop concentrating.  Tied losses keep history order.
         """
         order = np.argsort([loss for _, loss in self.history], kind="stable")
-        n_good = max(1, math.ceil(float(self.config["gamma"]) * len(order)))
-        cap = int(self.config["n_good_cap"])
-        if cap > 0:
-            n_good = min(n_good, cap)
+        n_good = min(max(1, math.ceil(_GAMMA * len(order))), _N_GOOD_CAP)
         us = np.array([self.history[i][0] for i in order]).reshape(-1, self.space.dim)
         return us[:n_good], us[n_good:]
 
     def _propose_batch(self, n: int) -> list[DesignPoint]:
-        if len(self.history) < int(self.config["n_startup"]):
+        if len(self.history) < _N_STARTUP:
             return [self.space.sample_uniform(self.rng) for _ in range(n)]
-        bw_floor = float(self.config["bw_floor"])
-        good, bad = (_Parzen(us[:, self._cont].copy(), self.space.choice_indices(us), self._ks,
-                             bw_floor) for us in self._split())
+        good, bad = (_Parzen(us[:, self._cont].copy(), self.space.choice_indices(us), self._ks)
+                     for us in self._split())
         return [self.space.denormalize(self._candidate(good, bad)) for _ in range(n)]
 
     def _candidate(self, good: _Parzen, bad: _Parzen) -> np.ndarray:
-        """The best of `n_candidates` draws from `good` under the ratio good/bad."""
-        m = int(self.config["n_candidates"])
+        """The best of ``_N_CANDIDATES`` draws from `good` under the ratio good/bad."""
+        m = _N_CANDIDATES
         integers, random = self.rng.integers, self.rng.random
         comp, u, cat_u = [], [], []
         for k in self._kinds:

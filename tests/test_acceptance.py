@@ -52,9 +52,9 @@ ECHO_CMD = f"{sys.executable} -m idkit.adapters"
 # -- shared drivers -----------------------------------------------------------------
 
 
-def drive(kind, budget, seed, space, loss_fn, config=None):
+def drive(kind, budget, seed, space, loss_fn):
     """Serial ask/tell loop on a scalar objective; returns (best_loss, best_point)."""
-    session = make_optimizer(kind, space, config or {}, seed)
+    session = make_optimizer(kind, space, seed)
     best = (math.inf, None)
     trial = 0
     while trial < budget:

@@ -17,6 +17,8 @@ from idkit.space import mse_loss
 HELP_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_help.txt")
 RUN_HELP_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_run_help.txt")
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixture_adapter.py")
+# `idkit run --problem scf --algo rs --budget 6 --seeds 2` as written when specs had a config dict
+EARLIER_REPORT = os.path.join(os.path.dirname(__file__), "data", "report_with_config.json")
 
 
 @pytest.fixture()
@@ -317,6 +319,14 @@ class TestPlot:
         svg = open(prefix + ".svg").read()
         assert svg.count("<polyline") == 2
 
+    def test_report_with_a_config_key_renders_as_its_run_does_today(self, data_dir):
+        assert main(["run", "--problem", "scf", "--algo", "rs", "--budget", "6",
+                     "--seeds", "2", "--out", "run"]) == 0
+        assert main(["plot", "--report", EARLIER_REPORT, "--out", "earlier"]) == 0
+        for ext in ("csv", "svg"):
+            assert (data_dir / f"earlier.{ext}").read_bytes() == \
+                (data_dir / "run" / f"report.{ext}").read_bytes()
+
 
 class TestEchoAdapterCommand:
     def test_round_trip_over_stdio(self):
@@ -380,6 +390,18 @@ class TestTrain:
         assert model.widths[0] == space.response_dim
         assert model.widths[-1] == space.onehot_length
         assert meta["model"] == "tandem"
+
+    def test_dataset_of_another_problem_exits_1_naming_the_widths(self, data_dir, capsys):
+        ds = str(data_dir / "d.jsonl")
+        main(["gen-data", "--problem", "scf", "--n", "5", "--seed", "4", "--out", ds])
+        capsys.readouterr()
+        assert main(["train", "--problem", "tpv", "--data", ds, "--epochs", "2"]) == 1
+        scf, tpv = get_space("scf"), get_space("tpv")
+        assert capsys.readouterr().err == (
+            f"error: {ds}: trial 0 has {scf.dim} design and {scf.response_dim} response values, "
+            f"tpv has {tpv.dim} and {tpv.response_dim}\n"
+        )
+        assert not (data_dir / "tpv_forward.bin").exists()
 
     def test_tandem_needs_forward_model(self, data_dir):
         ds = str(data_dir / "d.jsonl")

@@ -61,7 +61,9 @@ class TestBinding:
             SimulatorBinding(problem="motf", workers=0)
 
     @pytest.mark.parametrize(
-        "kw", [{"timeout": 0}, {"timeout": -1.0}, {"timeout": float("nan")}, {"sleep_s": -0.1}]
+        "kw",
+        [{"timeout": 0}, {"timeout": -1.0}, {"timeout": float("nan")}, {"sleep_s": -0.1},
+         {"adapter_cmd": 'python -m "idkit.adapters'}, {"adapter_cmd": "   "}],
     )
     def test_rejects_bad_timeout_and_sleep(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):

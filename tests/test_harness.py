@@ -161,6 +161,14 @@ class TestTargets:
         p.write_text("[1.0, 2.0]")
         with pytest.raises(ValueError, match="3"):
             H.load_target(str(p), get_space("scf"))
+        # entries that are not numbers name the file
+        for name, text in [("dict.json", '{"y": [0.1, 0.2, 0.3]}'),
+                           ("nested.json", "[[0.1, 0.2, 0.3]]"), ("cut.json", "[0.1, 0.2,"),
+                           ("word.txt", "abc")]:
+            p = tmp_path / name
+            p.write_text(text)
+            with pytest.raises(ValueError, match=f"target {re.escape(str(p))} is not a list of numbers"):
+                H.load_target(str(p), get_space("scf"))
 
 
 class TestTrainBest:
@@ -220,6 +228,8 @@ class TestExperimentSpec:
             H.ExperimentSpec(problem="scf", algo="rs", warm_start_k=3)
         with pytest.raises(ValueError, match="ask_batch"):
             H.ExperimentSpec(problem="scf", algo="rs", ask_batch=0)
+        with pytest.raises(TypeError, match="config"):  # optimizers run at fixed settings
+            H.ExperimentSpec(problem="scf", algo="rs", config={})
         with pytest.raises(ValueError, match="seed"):
             H.ExperimentSpec(problem="scf", algo="rs", seeds=())
 
@@ -229,18 +239,6 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=r"unknown algo 'nope'.*'bo', 'es'"):
             H.ExperimentSpec(problem="scf", algo="nope")
         assert H.ExperimentSpec(problem="scf", algo="TPE").algo == "TPE"  # as make_optimizer reads it
-
-    @pytest.mark.parametrize("budget", [0, 5])
-    def test_unknown_config_key_rejected_before_simulating(self, budget, monkeypatch):
-        from idkit.engine import Engine
-
-        calls = []
-        monkeypatch.setattr(Engine, "evaluate_batch", lambda self, pts: calls.append(pts))
-        with pytest.raises(ValueError, match=r"es: unknown config key 'mystery'"):
-            H.run_experiment(H.ExperimentSpec(problem="scf", algo="es", budget=budget,
-                                              seeds=(0, 1), config={"mystery": 1}))
-        assert calls == []
-        assert H.ExperimentSpec(problem="scf", algo="es", config={"sigma0": 0.2}).config
 
 
 class TestRunExperiment:
@@ -490,8 +488,16 @@ class TestReportSerialization:
         self._report(out_dir=out)
         doc = json.loads(open(os.path.join(out, "report.json")).read())
         assert doc["spec"]["out_dir"] == out
+        assert "config" not in doc["spec"]
         assert doc["report_hash"]
         assert "toolkit_version" in doc["metadata"]
+
+    def test_report_with_a_config_key_keeps_its_hash(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "report_with_config.json")
+        doc = json.loads(open(path).read())
+        assert doc["spec"]["config"] == {}
+        earlier = H.ExperimentReport.load(path)
+        assert earlier.report_hash() == doc["report_hash"]
 
 
 class TestEmitReport:

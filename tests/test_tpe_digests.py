@@ -49,12 +49,12 @@ def test_session_proposals_keep_their_bytes(name):
 
 def test_split_orders_ties_and_failures_by_loss_then_index():
     space = DesignSpace("line", [ParamSpec("x", Continuous(0.0, 1.0))], response_dim=1)
-    session = make_optimizer("tpe", space, config={"gamma": 0.5}, seed=0)
+    session = make_optimizer("tpe", space, seed=0)
     losses = [0.3, math.inf, 0.1, 0.3, math.inf, 0.1, 0.2, 0.3, math.inf, 0.0, 0.1]
     for i, loss in enumerate(losses):
         session.history.append((np.array([float(i)]), loss))
     good, bad = session._split()
-    assert len(good) == 6
+    assert len(good) == 3  # ceil(0.25 * 11)
     order = np.concatenate([good, bad])[:, 0].astype(int).tolist()
     assert order == sorted(range(len(losses)), key=lambda i: (losses[i], i))
 
@@ -64,7 +64,7 @@ def test_density_equals_building_and_scoring_one_coordinate_at_a_time():
     n, dims, m = 300, 4, 40  # 300 kernels span two blocks of the kernel pass
     mu = rng.random((n, dims)) ** 3  # crowded near 0, so far kernels underflow
     mu[::10] = mu[1::10]  # and some values tie
-    density = _Parzen(mu, np.zeros((n, 0), dtype=int), np.zeros(0, dtype=int), 1e-3)
+    density = _Parzen(mu, np.zeros((n, 0), dtype=int), np.zeros(0, dtype=int))
     x = rng.random((dims, m))
     got = density.logpdf(x, np.zeros((0, m), dtype=int))
     for d in range(dims):
