@@ -4,8 +4,8 @@ The echo adapter answers every request with ``y`` equal to the numeric
 coordinates of ``x`` (strings such as material names coerce to 0.0),
 truncated or zero-padded to the problem's response width.  It exists to
 exercise the wire protocol end to end without any physics; run it as
-``python -m idkit.adapters`` or via the ``echo-adapter`` CLI subcommand.
-It reads requests from ``sys.stdin`` and writes replies to ``sys.stdout``.
+``python -m idkit.adapters``.  It reads requests from ``sys.stdin`` and
+writes replies to ``sys.stdout``.
 """
 
 from __future__ import annotations

@@ -88,6 +88,8 @@ def generate_dataset(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     space = get_space(problem)
     binding = binding or SimulatorBinding(problem)
     rng = np.random.default_rng(seed)
@@ -249,6 +251,10 @@ class ExperimentSpec:
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
+        if self.target_seed < 0:
+            raise ValueError(f"target_seed must be >= 0, got {self.target_seed}")
         if self.warm_start_k < 0:
             raise ValueError(f"warm_start_k must be >= 0, got {self.warm_start_k}")
         if self.warm_start_k and not self.dataset_path:
@@ -303,10 +309,6 @@ class ExperimentReport:
     train_best: tuple[float, ...] | None
     failed_seeds: tuple[int, ...]
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def budget(self) -> int:
-        return int(self.spec["budget"])
 
     @property
     def algo(self) -> str:
@@ -377,8 +379,15 @@ class ExperimentReport:
 
     @classmethod
     def load(cls, path: str) -> "ExperimentReport":
+        """The report saved at `path`; a file that is not one raises ValueError naming it."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            text = fh.read()
+        try:
+            return cls.from_json(text)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"{path} is not an experiment report: {type(exc).__name__}: {exc}"
+            ) from None
 
 
 def _load_dataset(path: str, space: DesignSpace) -> list[EvalRecord]:

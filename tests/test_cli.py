@@ -1,4 +1,4 @@
-"""The idkit command: argument handling, config merging, exit codes, outputs."""
+"""The idkit command: argument handling, defaults, exit codes, outputs."""
 
 import json
 import os
@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from idkit.cli import main
+from idkit.cli import build_parser, main
 from idkit.harness import TARGET_SEED, iid_targets
 from idkit.problems import get_space
 from idkit.records import load_records
@@ -63,6 +63,23 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["gen-data", "--problem", "nonesuch"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, defaults", [
+        (["gen-data", "--problem", "scf"], {"n": 1000, "seed": 0, "workers": 1}),
+        (["split", "--data", "d.jsonl"], {"seed": 0}),
+        (["targets", "--problem", "scf"], {"k": 5, "seed": TARGET_SEED}),
+        (["train", "--problem", "scf", "--data", "d.jsonl"],
+         {"model": "forward", "seed": 0, "epochs": None, "lr": None}),
+        (["run", "--problem", "scf", "--algo", "rs"],
+         {"budget": None, "seeds": 5, "seed": 0, "workers": 1, "warm_start_k": 0,
+          "target": "iid", "ask_batch": 1}),
+        (["plot", "--report", "r.json"], {}),
+    ])
+    def test_defaults(self, argv, defaults):
+        ns = build_parser().parse_args(argv)
+        for key, value in defaults.items():
+            assert getattr(ns, key) == value, key
+        assert ns.out is None
 
     def test_help_snapshot(self, capsys):
         got = help_text(["--help"], capsys)
@@ -147,67 +164,6 @@ class TestGenDataSplitTargets:
             assert list(rec.response_array()) == [float(v) for v in rec.point.values[:3]]
 
 
-class TestConfigMerging:
-    def _run(self, data_dir, *extra):
-        out = str(data_dir / "run")
-        rc = main(["run", "--problem", "scf", "--algo", "rs", "--out", out, *extra])
-        assert rc == 0
-        with open(os.path.join(out, "report.json")) as fh:
-            return json.load(fh)
-
-    def test_config_file_fills_unset_flags(self, data_dir):
-        cfg = data_dir / "exp.cfg"
-        cfg.write_text("budget = 12\nseeds = 2\n# comment\n\ntarget = iid\n")
-        doc = self._run(data_dir, "--config", str(cfg))
-        assert doc["spec"]["budget"] == 12
-        assert doc["spec"]["seeds"] == [0, 1]
-
-    def test_set_overrides_file_last_wins(self, data_dir):
-        cfg = data_dir / "exp.cfg"
-        cfg.write_text("budget = 12\nseeds = 1\n")
-        doc = self._run(data_dir, "--config", str(cfg),
-                        "--set", "budget=8", "--set", "budget=6")
-        assert doc["spec"]["budget"] == 6
-
-    def test_explicit_flag_beats_everything(self, data_dir):
-        cfg = data_dir / "exp.cfg"
-        cfg.write_text("budget = 12\nseeds = 1\n")
-        doc = self._run(data_dir, "--config", str(cfg), "--set", "budget=8",
-                        "--budget", "4")
-        assert doc["spec"]["budget"] == 4
-
-    def test_dashed_keys_accepted(self, data_dir):
-        cfg = data_dir / "exp.cfg"
-        cfg.write_text("warm-start-k = 0\nseeds = 1\nbudget = 5\n")
-        doc = self._run(data_dir, "--config", str(cfg))
-        assert doc["spec"]["budget"] == 5
-
-    def test_unknown_key_exits_2(self, data_dir, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--problem", "scf", "--algo", "rs", "--set", "bogus=1"])
-        assert exc.value.code == 2
-        assert "unknown config key" in capsys.readouterr().err
-
-    def test_bad_value_exits_2_naming_the_key(self, data_dir, capsys):
-        cfg = data_dir / "exp.cfg"
-        cfg.write_text("budget = abc\n")
-        for source in (["--set", "budget=abc"], ["--config", str(cfg)]):
-            with pytest.raises(SystemExit) as exc:
-                main(["run", "--problem", "scf", "--algo", "rs", *source])
-            assert exc.value.code == 2
-            assert "'budget'" in capsys.readouterr().err
-        # a value outside the flag's choices
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--problem", "scf", "--data", "none.jsonl", "--set", "model=bogus"])
-        assert exc.value.code == 2
-        assert "'model'" in capsys.readouterr().err
-
-    def test_malformed_set_exits_2(self, data_dir):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--problem", "scf", "--algo", "rs", "--set", "nonsense"])
-        assert exc.value.code == 2
-
-
 class TestRun:
     def test_seed_flag_shifts_seed_block(self, data_dir):
         out = str(data_dir / "run")
@@ -234,6 +190,16 @@ class TestRun:
         rc = main(["run", "--problem", "scf", "--algo", "nope", "--budget", "5"])
         assert rc == 1
         assert "unknown algo 'nope'" in capsys.readouterr().err
+        assert os.listdir(data_dir) == []
+
+    def test_negative_seed_exits_1_before_simulating(self, data_dir, capsys):
+        rc = main(["run", "--problem", "scf", "--algo", "rs", "--budget", "5", "--seeds", "2",
+                   "--seed", "-1", "--out", "run"])
+        assert rc == 1
+        assert "seeds must be >= 0, got (-1, 0)" in capsys.readouterr().err
+        rc = main(["gen-data", "--problem", "scf", "--n", "5", "--seed", "-1"])
+        assert rc == 1
+        assert "need seed >= 0, got -1" in capsys.readouterr().err
         assert os.listdir(data_dir) == []
 
     def test_non_finite_target_file_exits_1_before_running(self, data_dir, capsys):
@@ -295,10 +261,16 @@ class TestEval:
 
     def test_invalid_point_exits_1(self, data_dir, capsys):
         pt = data_dir / "pt.json"
-        pt.write_text(json.dumps([1.0, 2.0]))
-        rc = main(["eval", "--problem", "scf", "--point", str(pt)])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        for text, reason in (
+            ("[1.0, 2.0]", "point has 2 values"),
+            ("[200, 300", f"point {pt} is not JSON: Expecting ','"),
+            ('{"x": 1}', f"point {pt} is not a JSON list of design values"),
+        ):
+            pt.write_text(text)
+            rc = main(["eval", "--problem", "scf", "--point", str(pt)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and reason in err
 
 
 class TestPlot:
@@ -319,6 +291,13 @@ class TestPlot:
         svg = open(prefix + ".svg").read()
         assert svg.count("<polyline") == 2
 
+    def test_file_that_is_not_a_report_exits_1_naming_it(self, data_dir, capsys):
+        for text in ('{"a": 1}', "garbage", "[1, 2]"):
+            (data_dir / "r.json").write_text(text)
+            assert main(["plot", "--report", "r.json", "--out", "p"]) == 1
+            assert capsys.readouterr().err.startswith("error: r.json is not an experiment report: ")
+        assert sorted(os.listdir(data_dir)) == ["r.json"]
+
     def test_report_with_a_config_key_renders_as_its_run_does_today(self, data_dir):
         assert main(["run", "--problem", "scf", "--algo", "rs", "--budget", "6",
                      "--seeds", "2", "--out", "run"]) == 0
@@ -337,7 +316,7 @@ class TestEchoAdapterCommand:
             + "\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-m", "idkit.cli", "echo-adapter"],
+            [sys.executable, "-m", "idkit.adapters"],
             input=lines, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr

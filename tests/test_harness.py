@@ -72,6 +72,8 @@ class TestGenerateDataset:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             H.generate_dataset("scf", 0, seed=0)
+        with pytest.raises(ValueError, match="need seed >= 0, got -1"):
+            H.generate_dataset("scf", 5, seed=-1)
 
 
 class TestSplitDataset:
@@ -232,6 +234,10 @@ class TestExperimentSpec:
             H.ExperimentSpec(problem="scf", algo="rs", config={})
         with pytest.raises(ValueError, match="seed"):
             H.ExperimentSpec(problem="scf", algo="rs", seeds=())
+        with pytest.raises(ValueError, match=r"seeds must be >= 0, got \(-1, 0\)"):
+            H.ExperimentSpec(problem="scf", algo="rs", seeds=(-1, 0))
+        with pytest.raises(ValueError, match="target_seed must be >= 0, got -3"):
+            H.ExperimentSpec(problem="scf", algo="rs", target_seed=-3)
 
     def test_unknown_problem_or_algo_rejected(self):
         with pytest.raises(ValueError, match=r"unknown problem 'bogus'.*'motf', 'tpv', 'scf'"):
